@@ -1,12 +1,10 @@
 //! Microbenchmarks of the simulation substrate: event queue, Zipf
 //! sampling, histogram recording.
 
-use std::rc::Rc;
-
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use wcs_simcore::dist::{Distribution, Zipf};
 use wcs_simcore::stats::Histogram;
-use wcs_simcore::{EpochArena, EventQueue, QueueKind, SimRng, SimTime};
+use wcs_simcore::{EventQueue, SimRng, SimTime};
 
 fn bench_event_queue(c: &mut Criterion) {
     c.bench_function("event_queue_push_pop_1k", |b| {
@@ -60,56 +58,6 @@ fn bench_event_queue(c: &mut Criterion) {
     });
 }
 
-/// Queue-kind occupancy sweep: the calendar wheel is built for deep
-/// queues, the heap for shallow ones, and `auto` should track whichever
-/// is better at each depth. Spread scales with depth so slot density
-/// (and therefore cascade behaviour) stays representative.
-fn bench_queue_kinds(c: &mut Criterion) {
-    for &(label, n) in &[("1k", 1_000u64), ("100k", 100_000), ("1m", 1_000_000)] {
-        for kind in QueueKind::ALL {
-            let name = format!("queue_{}_push_pop_{label}", kind.as_str());
-            c.bench_function(&name, |b| {
-                let mut rng = SimRng::seed_from(42);
-                let spread = n * 1_000;
-                b.iter(|| {
-                    let mut q = EventQueue::with_capacity_and_kind(n as usize, kind);
-                    for i in 0..n {
-                        q.schedule(SimTime::from_nanos(rng.next_u64() % spread), i);
-                    }
-                    let mut sum = 0u64;
-                    while let Some((_, e)) = q.pop() {
-                        sum = sum.wrapping_add(e);
-                    }
-                    black_box(sum)
-                })
-            });
-        }
-    }
-}
-
-/// Arena bump-copy vs the `Rc<[u64]>` per-payload allocation it replaced
-/// in the cluster engine's event payloads.
-fn bench_arena(c: &mut Criterion) {
-    let stages: Vec<u64> = (0..4).collect();
-    c.bench_function("payload_rc_from_slice", |b| {
-        b.iter(|| {
-            let rc: Rc<[u64]> = Rc::from(black_box(stages.as_slice()));
-            black_box(rc)
-        })
-    });
-    c.bench_function("payload_arena_alloc_copy", |b| {
-        let mut arena: EpochArena<u64> = EpochArena::with_capacity(1 << 16);
-        let mut n = 0u32;
-        b.iter(|| {
-            if arena.len() + stages.len() > (1 << 16) {
-                arena.reset();
-            }
-            n = n.wrapping_add(1);
-            black_box(arena.alloc_copy(black_box(stages.as_slice())))
-        })
-    });
-}
-
 fn bench_zipf(c: &mut Criterion) {
     let zipf = Zipf::new(500_000, 0.9).unwrap();
     let mut rng = SimRng::seed_from(2);
@@ -132,12 +80,5 @@ fn bench_histogram(c: &mut Criterion) {
     });
 }
 
-criterion_group!(
-    benches,
-    bench_event_queue,
-    bench_queue_kinds,
-    bench_arena,
-    bench_zipf,
-    bench_histogram
-);
+criterion_group!(benches, bench_event_queue, bench_zipf, bench_histogram);
 criterion_main!(benches);

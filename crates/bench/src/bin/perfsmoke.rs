@@ -1,5 +1,5 @@
 //! Fixed-seed performance smoke test: times the workspace's main studies
-//! and the event-queue hot path, verifies that memoized sweeps are
+//! and the event queue at study depth, verifies that memoized sweeps are
 //! byte-identical to cold recomputation, measures the observability
 //! layer's overhead in-process, then writes `BENCH_results.json` to the
 //! current directory.
@@ -7,12 +7,11 @@
 //! All studies run with pinned seeds, so the *numbers* they produce are
 //! identical run to run and across `--threads` values; only the wall
 //! times vary — and the `cross_check` section proves it, evaluating one
-//! design under every worker-thread count × scheduler kind × memo
-//! setting and requiring byte-identical renders. The smoke also rates
-//! the chunked SoA replay kernels (`perf.replay`: pages/sec and
-//! blocks/sec) and scales the multi-process sweep service across worker
-//! counts (1, 2, 4 processes, no chaos), folding the wall times into
-//! the `service` section. Run with
+//! design under every worker-thread count × memo setting and requiring
+//! byte-identical renders. The smoke also rates the chunked SoA replay
+//! kernels (`perf.replay`: pages/sec and blocks/sec) and scales the
+//! multi-process sweep service across worker counts (1, 2, 4 processes,
+//! no chaos), folding the wall times into the `service` section. Run with
 //! `cargo run --release -p wcs-bench --bin perfsmoke [--threads N]`.
 
 use std::fmt::Write as _;
@@ -33,7 +32,7 @@ use wcs_platforms::storage::{DiskModel, FlashModel};
 use wcs_platforms::PlatformId;
 use wcs_simcore::faults::FaultProcess;
 use wcs_simcore::obs::Registry;
-use wcs_simcore::{EventQueue, QueueKind, SimDuration, SimRng, SimTime, ThreadPool};
+use wcs_simcore::{EventQueue, SimDuration, SimRng, SimTime, ThreadPool};
 use wcs_simserver::{
     Cluster, ClusterFaults, ResilienceConfig, Resource, RetryPolicy, ServerSpec, Stage,
 };
@@ -53,11 +52,9 @@ fn timed<R>(f: impl FnOnce() -> R) -> (R, f64) {
 /// obs-overhead study runs, and the resilience-overhead stage. Exact-class series are deterministic across
 /// `--threads` and memo settings; the `memo.*` hit/miss counters are
 /// wall-class profiling data.
-const FOLDED_SERIES: [&str; 28] = [
+const FOLDED_SERIES: [&str; 26] = [
     "queue.scheduled",
     "queue.fast_path",
-    "queue.calendar_hits",
-    "queue.heap_fallbacks",
     "queue.max_depth",
     "pool.tasks",
     "memo.storage.hits",
@@ -101,26 +98,36 @@ fn sweep_bundle(eval: &Evaluator) -> String {
     out
 }
 
-/// Push/pop one million uniformly-timed events on the given scheduler
-/// and report (events, events/sec). Every kind pops the same total
-/// order, so `sum` doubles as a cheap identity check across kinds.
-fn event_queue_rate(kind: QueueKind) -> (u64, f64, u64) {
-    const EVENTS: u64 = 1_000_000;
-    let mut rng = SimRng::seed_from(97);
-    let mut q = EventQueue::with_capacity_and_kind(EVENTS as usize, kind);
-    let (sum, wall_ms) = timed(|| {
-        for i in 0..EVENTS {
-            q.schedule(SimTime::from_nanos(rng.next_u64() % 1_000_000_000), i);
+/// Pending-event depth of the hold benchmark: the `queue.max_depth` that
+/// real studies reach.
+const HOLD_DEPTH: u64 = 11;
+
+/// Steady-state hold churn at study depth: prime the queue with
+/// [`HOLD_DEPTH`] events, then repeatedly pop the earliest and reschedule
+/// it a random increment later, so every operation keeps the depth
+/// fixed. Reports popped events per second, best of three passes.
+fn hold_events_per_sec() -> f64 {
+    const POPS: u64 = 4_000_000;
+    let mut best = 0.0f64;
+    for _ in 0..3 {
+        let mut rng = SimRng::seed_from(97);
+        let mut q = EventQueue::with_capacity(HOLD_DEPTH as usize);
+        for i in 0..HOLD_DEPTH {
+            q.schedule(SimTime::from_nanos(rng.next_u64() % 1_000_000), i);
         }
-        let mut sum = 0u64;
-        let mut order = 0u64;
-        while let Some((t, e)) = q.pop() {
-            sum = sum.wrapping_add(e).wrapping_add(order);
-            order = order.wrapping_mul(31).wrapping_add(t.as_nanos());
-        }
-        sum
-    });
-    (2 * EVENTS, 2.0 * EVENTS as f64 / (wall_ms / 1e3), sum)
+        let (sum, wall_ms) = timed(|| {
+            let mut sum = 0u64;
+            for _ in 0..POPS {
+                let (t, e) = q.pop().expect("the hold keeps the queue non-empty");
+                sum = sum.wrapping_add(t.as_nanos() ^ e);
+                q.schedule(t + SimDuration::from_nanos(rng.next_u64() % 1_000_000), e);
+            }
+            sum
+        });
+        std::hint::black_box(sum);
+        best = best.max(POPS as f64 / (wall_ms / 1e3));
+    }
+    best
 }
 
 /// Rate the two chunked SoA replay kernels over fixed-seed materialized
@@ -159,10 +166,9 @@ fn fnv64(s: &str) -> u64 {
 
 /// Byte-identity cross-check: evaluate the N2 design (every cache plus
 /// the event engine in one cell) on a fresh evaluator under every
-/// engine configuration — worker threads × scheduler kind × memoization
-/// — and require all renders byte-identical. Any divergence aborts the
-/// run before results are written. Restores the process default queue
-/// kind to `args.queue` before returning.
+/// engine configuration — worker threads × memoization — and require
+/// all renders byte-identical. Any divergence aborts the run before
+/// results are written.
 fn engine_cross_check(args: &cli::BenchArgs) -> (usize, u64, f64) {
     let design = DesignPoint::n2();
     let mut reference: Option<(String, String)> = None;
@@ -170,27 +176,22 @@ fn engine_cross_check(args: &cli::BenchArgs) -> (usize, u64, f64) {
     let (_, wall_ms) = timed(|| {
         for threads in [1usize, 2, 8] {
             let pool = ThreadPool::new(threads).expect("positive thread count");
-            for kind in QueueKind::ALL {
-                wcs_simcore::event::set_default_queue_kind(kind);
-                for memo in [true, false] {
-                    let label = format!("threads={threads} queue={} memo={memo}", kind.as_str());
-                    let e = args.build_evaluator(|b| {
-                        b.quick().pool(pool).memo(memo).obs(Registry::disabled())
-                    });
-                    let render = format!("{:?}", e.evaluate(&design).expect("N2 evaluates"));
-                    match &reference {
-                        None => reference = Some((render, label)),
-                        Some((want, base)) => assert_eq!(
-                            want, &render,
-                            "evaluation diverged between [{base}] and [{label}]"
-                        ),
-                    }
-                    configs += 1;
+            for memo in [true, false] {
+                let label = format!("threads={threads} memo={memo}");
+                let e = args
+                    .build_evaluator(|b| b.quick().pool(pool).memo(memo).obs(Registry::disabled()));
+                let render = format!("{:?}", e.evaluate(&design).expect("N2 evaluates"));
+                match &reference {
+                    None => reference = Some((render, label)),
+                    Some((want, base)) => assert_eq!(
+                        want, &render,
+                        "evaluation diverged between [{base}] and [{label}]"
+                    ),
                 }
+                configs += 1;
             }
         }
     });
-    wcs_simcore::event::set_default_queue_kind(args.queue);
     let (render, _) = reference.expect("at least one config ran");
     (configs, fnv64(&render), wall_ms)
 }
@@ -270,25 +271,7 @@ fn main() {
     });
     studies.push(("cluster_faulted_40k", ms));
 
-    // Event-queue hot path, once per scheduler kind. The pop-order
-    // checksum must agree across kinds — the three lanes are required to
-    // produce one total order.
-    let mut queue_rates: Vec<(QueueKind, u64, f64)> = Vec::new();
-    let mut pop_checksums: Vec<u64> = Vec::new();
-    for kind in QueueKind::ALL {
-        let (events, rate, checksum) = event_queue_rate(kind);
-        queue_rates.push((kind, events, rate));
-        pop_checksums.push(checksum);
-    }
-    assert!(
-        pop_checksums.windows(2).all(|w| w[0] == w[1]),
-        "queue kinds diverged on the microbench pop order: {pop_checksums:?}"
-    );
-    let events_per_sec = queue_rates
-        .iter()
-        .find(|(k, ..)| *k == args.queue)
-        .map(|&(_, _, rate)| rate)
-        .expect("selected kind was benchmarked");
+    let hold_events_per_sec = hold_events_per_sec();
 
     // Observability overhead: the unified study on a fresh evaluator per
     // run, disabled/enabled runs interleaved five times; the median of
@@ -471,17 +454,6 @@ fn main() {
         "queue.fast_path stayed zero across the sweep bundle — the \
          same-instant fast path never fired"
     );
-    // The auto router must actually reach the calendar wheel at real
-    // study depths — a zero here means the routing threshold regressed
-    // back above the depths studies reach (dead routing).
-    if args.queue != QueueKind::Heap {
-        let calendar_hits = snap.count("queue.calendar_hits").unwrap_or(0);
-        assert!(
-            calendar_hits > 0,
-            "queue.calendar_hits stayed zero across the sweep bundle with --queue {}",
-            args.queue.as_str()
-        );
-    }
 
     let (replay_pages_per_sec, replay_blocks_per_sec) = replay_kernel_rates(&pool);
     let (cross_configs, cross_fnv, cross_ms) = engine_cross_check(&args);
@@ -541,27 +513,17 @@ fn main() {
         );
     }
     json.push_str("  ],\n");
-    json.push_str("  \"event_queue\": [\n");
-    for (i, (kind, events, rate)) in queue_rates.iter().enumerate() {
-        let comma = if i + 1 < queue_rates.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "    {{\"kind\": \"{}\", \"events\": {events}, \"events_per_sec\": {rate:.0}}}{comma}",
-            kind.as_str()
-        );
-    }
-    json.push_str("  ],\n");
     let scheduled = snap.count("queue.scheduled").unwrap_or(0);
     let fast_path_share = fast_path as f64 / scheduled.max(1) as f64;
     let _ = writeln!(
         json,
-        "  \"perf\": {{\"queue_kind\": \"{}\", \"events_per_sec\": {events_per_sec:.0}, \
+        "  \"perf\": {{\"hold_depth\": {HOLD_DEPTH}, \
+         \"hold_events_per_sec\": {hold_events_per_sec:.0}, \
          \"sweep_cold_ms\": {sweep_cold_ms:.3}, \"sweep_warm_ms\": {sweep_warm_ms:.3}, \
          \"fast_path_share\": {fast_path_share:.4}, \
          \"scenario_evals_per_sec\": {scenario_evals_per_sec:.3}, \
          \"replay\": {{\"pages_per_sec\": {replay_pages_per_sec:.0}, \
-         \"blocks_per_sec\": {replay_blocks_per_sec:.0}}}}},",
-        args.queue.as_str()
+         \"blocks_per_sec\": {replay_blocks_per_sec:.0}}}}},"
     );
     let _ = writeln!(
         json,
@@ -579,9 +541,7 @@ fn main() {
     for (name, wall_ms) in &studies {
         println!("  {name:<22} {wall_ms:>10.1} ms");
     }
-    for (kind, _, rate) in &queue_rates {
-        println!("  event queue ({}): {rate:.2e} events/sec", kind.as_str());
-    }
+    println!("  event queue (hold at depth {HOLD_DEPTH}): {hold_events_per_sec:.2e} events/sec");
     for (workers, wall_ms, cells) in &service_points {
         println!("  service {cells} cells, {workers} worker(s): {wall_ms:>10.1} ms");
     }

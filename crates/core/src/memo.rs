@@ -42,27 +42,25 @@ pub struct PerfSample {
 /// Encode a perf measurement into its journal payload (little-endian).
 ///
 /// ```text
-/// Ok : 0x00 value:f64-bits scheduled:u64 fast_path:u64
-///      calendar_hits:u64 heap_fallbacks:u64 max_depth:u64
+/// Ok : 0x02 value:f64-bits scheduled:u64 fast_path:u64 max_depth:u64
 /// Err: 0x01 wl_len:u32 wl_bytes reason_len:u32 reason_bytes
 /// ```
 ///
 /// Both arms are journaled: an infeasible-QoS `Err` is as much a pure
 /// function of the cell key as a successful sample, and replaying it
-/// saves the resumed run the recompute. Records written before the
-/// calendar-queue counters existed carry a 32-byte `Ok` body and fail
-/// the length check below, so resumed runs recompute those cells
-/// instead of reviving a half-decoded sample.
+/// saves the resumed run the recompute. `Ok` records written by earlier
+/// layouts carry tag `0x00` (a 32-byte body, or a 48-byte body with two
+/// retired scheduler counters before `max_depth`) and decode to `None`,
+/// so resumed runs recompute those cells instead of reviving a
+/// half-decoded sample.
 pub fn encode_perf(result: &Result<PerfSample, MeasureError>) -> Vec<u8> {
     match result {
         Ok(s) => {
-            let mut out = Vec::with_capacity(1 + 8 * 6);
-            out.push(0);
+            let mut out = Vec::with_capacity(1 + 8 * 4);
+            out.push(PERF_OK_TAG);
             out.extend_from_slice(&s.value.to_bits().to_le_bytes());
             out.extend_from_slice(&s.queue.scheduled.to_le_bytes());
             out.extend_from_slice(&s.queue.fast_path.to_le_bytes());
-            out.extend_from_slice(&s.queue.calendar_hits.to_le_bytes());
-            out.extend_from_slice(&s.queue.heap_fallbacks.to_le_bytes());
             out.extend_from_slice(&s.queue.max_depth.to_le_bytes());
             out
         }
@@ -80,14 +78,18 @@ pub fn encode_perf(result: &Result<PerfSample, MeasureError>) -> Vec<u8> {
     }
 }
 
+/// Tag byte of an `Ok` perf payload. `0x00` belonged to earlier `Ok`
+/// layouts and is never decoded.
+const PERF_OK_TAG: u8 = 0x02;
+
 /// Decode a journal payload back into a perf measurement. Returns `None`
 /// on any structural mismatch — a record that decodes wrong is dropped by
 /// the replay seeding rather than poisoning the resumed run.
 pub fn decode_perf(payload: &[u8]) -> Option<Result<PerfSample, MeasureError>> {
     let (&tag, rest) = payload.split_first()?;
     match tag {
-        0 => {
-            if rest.len() != 48 {
+        PERF_OK_TAG => {
+            if rest.len() != 32 {
                 return None;
             }
             let word =
@@ -97,9 +99,7 @@ pub fn decode_perf(payload: &[u8]) -> Option<Result<PerfSample, MeasureError>> {
                 queue: QueueObs {
                     scheduled: word(1),
                     fast_path: word(2),
-                    calendar_hits: word(3),
-                    heap_fallbacks: word(4),
-                    max_depth: word(5),
+                    max_depth: word(3),
                 },
             }))
         }
@@ -522,8 +522,6 @@ mod tests {
             queue: QueueObs {
                 scheduled: 10,
                 fast_path: 3,
-                calendar_hits: 5,
-                heap_fallbacks: 2,
                 max_depth: 7,
             },
         });
@@ -551,8 +549,9 @@ mod tests {
         assert!(decode_perf(&[0, 1, 2]).is_none(), "short Ok body");
         assert!(
             decode_perf(&[0u8; 33]).is_none(),
-            "pre-calendar 32-byte Ok body is dropped, not half-decoded"
+            "earliest 32-byte tag-0 Ok body is dropped, not half-decoded"
         );
+        assert!(decode_perf(&[PERF_OK_TAG, 1, 2]).is_none(), "short Ok body");
         assert!(
             decode_perf(&[1, 255, 255, 255, 255]).is_none(),
             "oversized Err len"
@@ -564,6 +563,32 @@ mod tests {
         }));
         err.push(0);
         assert!(decode_perf(&err).is_none());
+    }
+
+    #[test]
+    fn earlier_ok_layouts_recompute_and_the_current_one_round_trips() {
+        // A tag-0 record with the 48-byte body (value, scheduled,
+        // fast_path, two retired scheduler counters, max_depth) must be
+        // dropped rather than read as a shorter sample.
+        let mut legacy = vec![0u8];
+        for word in [1234.5678f64.to_bits(), 10, 3, 5, 2, 7] {
+            legacy.extend_from_slice(&word.to_le_bytes());
+        }
+        assert_eq!(legacy.len(), 49);
+        assert!(decode_perf(&legacy).is_none());
+
+        let current: Result<PerfSample, MeasureError> = Ok(PerfSample {
+            value: 1234.5678,
+            queue: QueueObs {
+                scheduled: 10,
+                fast_path: 3,
+                max_depth: 7,
+            },
+        });
+        let payload = encode_perf(&current);
+        assert_eq!(payload.len(), 33, "tag + 32-byte body");
+        assert_eq!(payload[0], 0x02);
+        assert_eq!(decode_perf(&payload), Some(current));
     }
 
     #[test]

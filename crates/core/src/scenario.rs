@@ -16,11 +16,10 @@
 //! cost of a failover surge).
 //!
 //! Everything is deterministic: a [`ScenarioEval`]'s `Debug` render is
-//! bit-identical across thread counts, event-queue kinds, and memo
-//! on/off, because it contains only pure functions of the spec, the
-//! design, and the measurement config (queue occupancy counters — which
-//! legitimately differ by queue kind — stay out of the render and feed
-//! observability only).
+//! bit-identical across thread counts and memo on/off, because it
+//! contains only pure functions of the spec, the design, and the
+//! measurement config (queue occupancy counters stay out of the render
+//! and feed observability only).
 
 use std::fmt;
 
@@ -44,7 +43,7 @@ use crate::evaluate::Evaluator;
 use crate::memo::PerfSample;
 
 /// A memoized open-loop traffic run: the deterministic evaluation plus
-/// the queue-kind-dependent occupancy counters, cached together so the
+/// the event-queue occupancy counters, cached together so the
 /// `queue.*` observability series stay identical with the memo on or
 /// off.
 #[derive(Debug, Clone, PartialEq)]
@@ -52,14 +51,14 @@ pub struct TrafficSample {
     /// The pure-numeric evaluation (rendered into [`ScenarioEval`]).
     pub eval: TrafficEval,
     /// Event-queue occupancy of the run. Excluded from every render:
-    /// calendar/heap counters differ by queue kind by design.
+    /// it is observability data, not a result.
     pub queue: QueueObs,
 }
 
 /// What an open-loop traffic-pack run measured. Every field is a pure
 /// function of the scenario, design, and measurement config — safe to
-/// render and to compare byte-for-byte across thread counts and queue
-/// kinds.
+/// render and to compare byte-for-byte across thread counts and memo
+/// settings.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrafficEval {
     /// The pack's catalog name.

@@ -12,9 +12,6 @@ use wcs_workloads::{suite, Metric, WorkloadId};
 use crate::memo::StorageMemo;
 
 /// A storage configuration under study (Table 3's columns).
-///
-/// Named `DiskScenario` before the scenario API redesign; the old name
-/// survives as a deprecated alias for one release.
 #[derive(Debug, Clone)]
 pub struct StorageScenario {
     /// Row label as in Table 3(b).
@@ -90,13 +87,6 @@ impl StorageScenario {
         p
     }
 }
-
-/// Deprecated pre-redesign name for [`StorageScenario`]. "Scenario" now
-/// means a workload/traffic pairing repo-wide (see `wcs-core`'s
-/// `scenario` module); this alias exists for one release so downstream
-/// code keeps compiling while it migrates.
-#[deprecated(note = "renamed to `StorageScenario`")]
-pub type DiskScenario = StorageScenario;
 
 /// One row of Table 3(b): a scenario's efficiency relative to the
 /// desktop baseline, harmonically aggregated across the suite.

@@ -1,7 +1,6 @@
 //! Deterministic future-event list.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU8, Ordering};
 
 use crate::error::ConfigError;
 use crate::SimTime;
@@ -22,291 +21,6 @@ impl<E> Scheduled<E> {
     }
 }
 
-/// Which ordering structure an [`EventQueue`] uses for events that miss
-/// the epoch buffer.
-///
-/// Every kind pops the exact same `(when, seq)` order — the choice only
-/// affects wall-clock cost, never simulation results. `Auto` is the
-/// default: it runs on the heap at low occupancy (where sift costs are
-/// trivial and the wheel's fixed overheads are not amortized) and
-/// switches new inserts to the calendar wheel once the pending set is
-/// deep enough for bucketing to win.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QueueKind {
-    /// Indexed 4-ary min-heap only (the pre-calendar scheduler).
-    Heap,
-    /// Hierarchical timing wheel, with the heap kept as an overflow lane
-    /// for events outside the wheel horizon.
-    Calendar,
-    /// Occupancy-based routing: heap below [`AUTO_WHEEL_MIN_DEPTH`]
-    /// pending events, calendar wheel above.
-    #[default]
-    Auto,
-}
-
-impl QueueKind {
-    /// Every kind, in CLI presentation order.
-    pub const ALL: [QueueKind; 3] = [QueueKind::Heap, QueueKind::Calendar, QueueKind::Auto];
-
-    /// The CLI spelling of this kind.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            QueueKind::Heap => "heap",
-            QueueKind::Calendar => "calendar",
-            QueueKind::Auto => "auto",
-        }
-    }
-
-    /// Parses a CLI spelling (`heap`, `calendar`, `auto`).
-    pub fn parse(s: &str) -> Option<QueueKind> {
-        match s {
-            "heap" => Some(QueueKind::Heap),
-            "calendar" => Some(QueueKind::Calendar),
-            "auto" => Some(QueueKind::Auto),
-            _ => None,
-        }
-    }
-
-    fn to_u8(self) -> u8 {
-        match self {
-            QueueKind::Heap => 0,
-            QueueKind::Calendar => 1,
-            QueueKind::Auto => 2,
-        }
-    }
-
-    fn from_u8(v: u8) -> QueueKind {
-        match v {
-            0 => QueueKind::Heap,
-            1 => QueueKind::Calendar,
-            _ => QueueKind::Auto,
-        }
-    }
-}
-
-impl std::fmt::Display for QueueKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-/// Process-wide default scheduler kind, read by [`EventQueue::new`] and
-/// [`EventQueue::with_capacity`]. Studies construct queues deep inside
-/// engine code, so the `--queue` bench flag sets this once instead of
-/// threading a parameter through every constructor. Because all kinds
-/// pop identically, flipping the default mid-run can never change
-/// simulation output — only wall time and the `queue.calendar_hits` /
-/// `queue.heap_fallbacks` diagnostics.
-static DEFAULT_QUEUE_KIND: AtomicU8 = AtomicU8::new(2);
-
-/// Sets the process-wide default [`QueueKind`] for new queues.
-pub fn set_default_queue_kind(kind: QueueKind) {
-    DEFAULT_QUEUE_KIND.store(kind.to_u8(), Ordering::Relaxed);
-}
-
-/// The process-wide default [`QueueKind`] (initially [`QueueKind::Auto`]).
-pub fn default_queue_kind() -> QueueKind {
-    QueueKind::from_u8(DEFAULT_QUEUE_KIND.load(Ordering::Relaxed))
-}
-
-/// Pending-event depth at which [`QueueKind::Auto`] starts routing new
-/// inserts to the calendar wheel instead of the heap.
-///
-/// Tuned from the steady-state occupancy sweep (spread timestamps, pop +
-/// reschedule): the heap wins clearly below depth 8 (31M vs 25M events/s
-/// at 8), the wheel wins clearly from 16 up (29M vs 23M at 16, 35M vs
-/// 15M at 64) and its cost stays flat with depth, and the band in
-/// between is a tie within noise (27M vs 26M at 11). Real studies peak
-/// at depth ~11, so the threshold sits at the bottom of the tie band:
-/// deep enough to keep short chains on the small-n-optimal heap, shallow
-/// enough that real study workloads actually ride the wheel (perfsmoke
-/// asserts `queue.calendar_hits > 0` on a study, not just on synthetic
-/// benches).
-pub const AUTO_WHEEL_MIN_DEPTH: usize = 10;
-
-const WHEEL_BITS: u32 = 6;
-const WHEEL_SLOTS: usize = 1 << WHEEL_BITS; // 64
-const WHEEL_LEVELS: usize = 6;
-/// log2 of the wheel horizon: 2^36 ns ≈ 68.7 simulated seconds ahead of
-/// the wheel base. Events beyond it overflow to the heap lane.
-const WHEEL_RANGE_BITS: u32 = WHEEL_BITS * WHEEL_LEVELS as u32; // 36
-
-/// One bucketed event inside the timing wheel.
-struct WheelEntry<E> {
-    when: SimTime,
-    seq: u64,
-    payload: E,
-}
-
-/// Hierarchical timing wheel: [`WHEEL_LEVELS`] levels of
-/// [`WHEEL_SLOTS`] buckets, level `l` slots spanning `2^(6l)` ns.
-///
-/// Invariants (all relative to `base`, the wheel's reference instant):
-///
-/// * An entry at `when` lives at the level of the highest differing
-///   6-bit group of `when ^ base`, in the slot indexed by `when`'s bits
-///   at that level. Entries therefore require `when >= base` and
-///   `(when ^ base) >> 36 == 0` (see [`accepts`](Wheel::accepts)).
-/// * Every level-0 slot holds exactly one timestamp, so draining it
-///   front-to-back is FIFO delivery for that instant with zero sorting.
-/// * All level-`l` entries fire before all level-`l+1` entries, and
-///   within a level, slot index orders firing time — so the lowest
-///   occupied slot of the lowest occupied level always holds the
-///   minimum.
-/// * Within any slot, entries are `seq`-ascending: slots are append-only
-///   and a cascade redistributes a slot (itself seq-ascending per
-///   timestamp) only into empty lower-level slots.
-///
-/// `base` only advances (monotonically) when a cascade promotes a
-/// higher-level slot down, zeroing the lower groups; inserts that land
-/// below the advanced `base` are the caller's job to route to the
-/// overflow heap.
-struct Wheel<E> {
-    base: u64,
-    len: usize,
-    /// Per-level occupancy bitmap; bit `s` set iff slot `s` is non-empty.
-    occ: [u64; WHEEL_LEVELS],
-    /// Flat `WHEEL_LEVELS * WHEEL_SLOTS` slot array (empty until the
-    /// first insert, so heap-only queues pay nothing).
-    slots: Vec<VecDeque<WheelEntry<E>>>,
-    /// Reusable scratch for cascades: keeps redistribution allocation-free
-    /// after warmup.
-    spare: VecDeque<WheelEntry<E>>,
-}
-
-impl<E> Wheel<E> {
-    fn new() -> Self {
-        Wheel {
-            base: 0,
-            len: 0,
-            occ: [0; WHEEL_LEVELS],
-            slots: Vec::new(),
-            spare: VecDeque::new(),
-        }
-    }
-
-    /// True when `when_ns` can be bucketed relative to the current base:
-    /// not below it, and within the `2^36` ns horizon (checked as "no
-    /// differing bit groups above level 5", which also catches carries).
-    #[inline]
-    fn accepts(&self, when_ns: u64) -> bool {
-        when_ns >= self.base && (when_ns ^ self.base) >> WHEEL_RANGE_BITS == 0
-    }
-
-    /// Re-anchors an empty wheel at the current clock so long simulations
-    /// never outrun the horizon.
-    #[inline]
-    fn rebase(&mut self, now_ns: u64) {
-        debug_assert_eq!(self.len, 0);
-        self.base = now_ns;
-    }
-
-    /// (level, slot) for an accepted timestamp.
-    #[inline]
-    fn level_slot(&self, when_ns: u64) -> (usize, usize) {
-        let diff = when_ns ^ self.base;
-        let level = if diff == 0 {
-            0
-        } else {
-            ((63 - diff.leading_zeros()) / WHEEL_BITS) as usize
-        };
-        let slot = ((when_ns >> (WHEEL_BITS * level as u32)) & (WHEEL_SLOTS as u64 - 1)) as usize;
-        (level, slot)
-    }
-
-    /// Buckets one entry. Caller must have checked [`accepts`](Self::accepts).
-    fn insert(&mut self, when: SimTime, seq: u64, payload: E) {
-        if self.slots.is_empty() {
-            self.slots
-                .resize_with(WHEEL_LEVELS * WHEEL_SLOTS, VecDeque::new);
-        }
-        let (level, slot) = self.level_slot(when.as_nanos());
-        self.occ[level] |= 1 << slot;
-        self.slots[level * WHEEL_SLOTS + slot].push_back(WheelEntry { when, seq, payload });
-        self.len += 1;
-    }
-
-    /// Cascades until the minimum entry sits in a level-0 slot. Each
-    /// round promotes the earliest occupied slot of the lowest occupied
-    /// level, advancing `base` to that slot's window; every entry then
-    /// re-buckets at a strictly lower level, so at most
-    /// `WHEEL_LEVELS - 1` rounds run. No-op when level 0 is already
-    /// occupied or the wheel is empty.
-    fn prepare_min(&mut self) {
-        while self.len > 0 && self.occ[0] == 0 {
-            let level = (1..WHEEL_LEVELS)
-                .find(|&l| self.occ[l] != 0)
-                .expect("non-empty wheel has an occupied level");
-            let slot = self.occ[level].trailing_zeros() as usize;
-            self.occ[level] &= !(1 << slot);
-            debug_assert!(self.spare.is_empty());
-            std::mem::swap(&mut self.spare, &mut self.slots[level * WHEEL_SLOTS + slot]);
-            // The promoted slot's window becomes the new base: groups
-            // above `level` unchanged, group `level` pinned to the slot,
-            // groups below zeroed. Monotonic: the old base's group at
-            // `level` was smaller (entries require `when >= base` and
-            // agree with base above `level`).
-            let low_mask = (1u64 << (WHEEL_BITS * (level as u32 + 1))) - 1;
-            self.base = (self.base & !low_mask) | ((slot as u64) << (WHEEL_BITS * level as u32));
-            while let Some(e) = self.spare.pop_front() {
-                let (l, s) = self.level_slot(e.when.as_nanos());
-                debug_assert!(l < level, "cascade must strictly lower the level");
-                self.occ[l] |= 1 << s;
-                self.slots[l * WHEEL_SLOTS + s].push_back(e);
-            }
-        }
-    }
-
-    /// Key of the earliest entry; only valid after
-    /// [`prepare_min`](Self::prepare_min) (level 0 occupied).
-    #[inline]
-    fn front_key(&self) -> Option<(SimTime, u64)> {
-        if self.occ[0] == 0 {
-            return None;
-        }
-        let slot = self.occ[0].trailing_zeros() as usize;
-        self.slots[slot].front().map(|e| (e.when, e.seq))
-    }
-
-    /// Pops the earliest entry; only valid after `prepare_min`.
-    fn pop_front(&mut self) -> WheelEntry<E> {
-        let slot = self.occ[0].trailing_zeros() as usize;
-        let e = self.slots[slot].pop_front().expect("occupied slot");
-        if self.slots[slot].is_empty() {
-            self.occ[0] &= !(1 << slot);
-        }
-        self.len -= 1;
-        e
-    }
-
-    /// Minimum pending firing time without mutating the wheel: the
-    /// lowest occupied level's earliest slot holds the minimum; at level
-    /// 0 its front entry is it, above that the slot must be scanned.
-    fn peek_min_time(&self) -> Option<SimTime> {
-        if self.len == 0 {
-            return None;
-        }
-        let level = (0..WHEEL_LEVELS).find(|&l| self.occ[l] != 0)?;
-        let slot = self.occ[level].trailing_zeros() as usize;
-        let bucket = &self.slots[level * WHEEL_SLOTS + slot];
-        if level == 0 {
-            return bucket.front().map(|e| e.when);
-        }
-        bucket.iter().map(|e| e.when).min()
-    }
-
-    fn clear(&mut self) {
-        if self.len == 0 {
-            return;
-        }
-        for s in &mut self.slots {
-            s.clear();
-        }
-        self.occ = [0; WHEEL_LEVELS];
-        self.len = 0;
-    }
-}
-
 /// A future-event list: the core of every discrete-event simulator in this
 /// workspace.
 ///
@@ -314,45 +28,33 @@ impl<E> Wheel<E> {
 /// instant pop in the order they were scheduled (FIFO), which keeps
 /// simulations deterministic regardless of scheduler internals.
 ///
-/// Internally the queue runs three lanes, all totally ordered by
-/// `(when, seq)` so any event may live in any lane without affecting pop
-/// order (see `DESIGN.md` §11 for the full argument):
+/// Internally the queue runs two lanes, both totally ordered by
+/// `(when, seq)` so any event may live in either lane without affecting
+/// pop order (see `DESIGN.md` §11 for the full argument):
 ///
 /// * **Epoch buffer (front lane)** — a FIFO holding events for a single
 ///   epoch `imm_time`. An empty buffer adopts the next scheduled event's
 ///   timestamp as its epoch, and while it is non-empty every schedule at
-///   exactly `imm_time` appends to it. Ordering is unaffected: a lane
+///   exactly `imm_time` appends to it. Ordering is unaffected: a heap
 ///   entry at `imm_time` was necessarily scheduled before every current
 ///   buffer entry (while the buffer is non-empty, same-epoch events are
-///   routed to the buffer, never the lanes), so the pop path drains lane
+///   routed to the buffer, never the heap), so the pop path drains heap
 ///   entries at `imm_time` before touching the buffer. Two real
 ///   scheduling patterns ride this buffer with zero comparisons, counted
 ///   by the `fast_path` statistic: runs of events landing on *one shared
 ///   instant* (identical batch tasks, fixed retry timeouts), and the
 ///   *pure event chain* — pop one event, schedule its successor, repeat.
-/// * **Calendar wheel (primary lane)** — a hierarchical timing wheel
-///   (6 levels × 64 slots, 1 ns granularity, `2^36` ns horizon) that
-///   buckets events by timestamp: O(1) insert, cascade-amortized O(1)
-///   pop, and same-instant events land in one level-0 slot in FIFO
-///   order, which is what makes [`pop_epoch`](Self::pop_epoch) a slice
-///   drain instead of repeated heap pops.
-/// * **Heap (overflow lane)** — the indexed 4-ary min-heap, retained in
-///   full as both the [`QueueKind::Heap`] implementation and the
-///   overflow lane for events the wheel cannot bucket (beyond its
-///   horizon, or below its advanced base).
+/// * **Heap (ordering lane)** — an indexed 4-ary min-heap on
+///   `(when, seq)` holding every event that misses the buffer.
 ///
 /// [`with_capacity`](EventQueue::with_capacity) pre-sizes the heap arena
 /// so steady-state runs never reallocate.
 pub struct EventQueue<E> {
-    /// 4-ary min-heap on `(when, seq)`: the [`QueueKind::Heap`]
-    /// scheduler and the wheel's overflow lane.
+    /// 4-ary min-heap on `(when, seq)`.
     heap: Vec<Scheduled<E>>,
-    /// Hierarchical timing wheel (empty and unallocated under
-    /// [`QueueKind::Heap`]).
-    wheel: Wheel<E>,
     /// FIFO of events all firing at the shared epoch `imm_time`. Every
-    /// entry was sequenced after every lane entry with `when ==
-    /// imm_time`, so draining the lanes' `imm_time` entries first
+    /// entry was sequenced after every heap entry with `when ==
+    /// imm_time`, so draining the heap's `imm_time` entries first
     /// preserves global FIFO order.
     immediate: VecDeque<E>,
     /// The epoch of the `immediate` buffer; meaningful only while the
@@ -361,15 +63,9 @@ pub struct EventQueue<E> {
     imm_time: SimTime,
     next_seq: u64,
     now: SimTime,
-    kind: QueueKind,
-    /// Schedules that took an O(1) buffer path with no lane comparison:
-    /// same-epoch appends, plus adoptions while the lanes were empty.
+    /// Schedules that took an O(1) buffer path with no heap comparison:
+    /// same-epoch appends, plus adoptions while the heap was empty.
     fast_path: u64,
-    /// Non-buffer schedules bucketed into the calendar wheel.
-    calendar_hits: u64,
-    /// Non-buffer schedules the wheel refused (outside its horizon or
-    /// below its base) that fell back to the heap lane.
-    heap_fallbacks: u64,
     /// Largest pending-event count ever reached.
     max_depth: u64,
 }
@@ -377,23 +73,16 @@ pub struct EventQueue<E> {
 /// Occupancy counters of an [`EventQueue`], exported to the
 /// observability layer after a run. Derived purely from the simulated
 /// event stream, so the values are bit-identical for identical runs at
-/// any thread count; `calendar_hits` / `heap_fallbacks` additionally
-/// depend on the configured [`QueueKind`] (routing diagnostics), while
-/// the other three are identical across kinds too.
+/// any thread count.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueObs {
     /// Events scheduled over the queue's lifetime.
     pub scheduled: u64,
-    /// Schedules that bypassed the ordering lanes through the epoch
-    /// buffer with zero comparisons: same-instant appends at the
-    /// buffer's epoch, and epoch adoptions while the lanes were empty
-    /// (the pure pop-schedule chain of a single-client probe or a drain
-    /// tail).
+    /// Schedules that bypassed the heap through the epoch buffer with
+    /// zero comparisons: same-instant appends at the buffer's epoch, and
+    /// epoch adoptions while the heap was empty (the pure pop-schedule
+    /// chain of a single-client probe or a drain tail).
     pub fast_path: u64,
-    /// Schedules bucketed into the calendar wheel lane.
-    pub calendar_hits: u64,
-    /// Schedules the wheel refused that fell back to the overflow heap.
-    pub heap_fallbacks: u64,
     /// High-water mark of pending events.
     pub max_depth: u64,
 }
@@ -406,8 +95,6 @@ impl QueueObs {
         QueueObs {
             scheduled: self.scheduled + other.scheduled,
             fast_path: self.fast_path + other.fast_path,
-            calendar_hits: self.calendar_hits + other.calendar_hits,
-            heap_fallbacks: self.heap_fallbacks + other.heap_fallbacks,
             max_depth: self.max_depth.max(other.max_depth),
         }
     }
@@ -417,12 +104,6 @@ impl QueueObs {
     pub fn export(&self, registry: &crate::obs::Registry) {
         registry.counter("queue.scheduled").add(self.scheduled);
         registry.counter("queue.fast_path").add(self.fast_path);
-        registry
-            .counter("queue.calendar_hits")
-            .add(self.calendar_hits);
-        registry
-            .counter("queue.heap_fallbacks")
-            .add(self.heap_fallbacks);
         registry
             .max_gauge("queue.max_depth")
             .observe(self.max_depth);
@@ -438,80 +119,28 @@ impl<E> Default for EventQueue<E> {
 const ARITY: usize = 4;
 
 impl<E> EventQueue<E> {
-    /// Creates an empty queue with the clock at [`SimTime::ZERO`], using
-    /// the process-wide default [`QueueKind`].
+    /// Creates an empty queue with the clock at [`SimTime::ZERO`].
     pub fn new() -> Self {
-        Self::with_kind(default_queue_kind())
+        Self::with_capacity(0)
     }
 
     /// Creates an empty queue pre-sized for `capacity` pending events, so
     /// a steady-state simulation never reallocates the event arena.
     pub fn with_capacity(capacity: usize) -> Self {
-        Self::with_capacity_and_kind(capacity, default_queue_kind())
-    }
-
-    /// Creates an empty queue with an explicit scheduler kind.
-    pub fn with_kind(kind: QueueKind) -> Self {
-        Self::with_capacity_and_kind(0, kind)
-    }
-
-    /// Creates an empty pre-sized queue with an explicit scheduler kind.
-    pub fn with_capacity_and_kind(capacity: usize, kind: QueueKind) -> Self {
         EventQueue {
             heap: Vec::with_capacity(capacity),
-            wheel: Wheel::new(),
             immediate: VecDeque::new(),
             imm_time: SimTime::ZERO,
             next_seq: 0,
             now: SimTime::ZERO,
-            kind,
             fast_path: 0,
-            calendar_hits: 0,
-            heap_fallbacks: 0,
             max_depth: 0,
         }
-    }
-
-    /// The scheduler kind this queue was constructed with.
-    pub fn kind(&self) -> QueueKind {
-        self.kind
     }
 
     /// The instant of the most recently popped event (the simulation clock).
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// True when both ordering lanes are empty (the epoch buffer may
-    /// still hold events). This is kind-independent — the lanes hold the
-    /// same *set* of events whichever way they are split — which keeps
-    /// the `fast_path` counter bit-identical across [`QueueKind`]s.
-    #[inline]
-    fn lanes_empty(&self) -> bool {
-        self.heap.is_empty() && self.wheel.len == 0
-    }
-
-    /// Routes a non-buffer schedule to the wheel or the heap.
-    #[inline]
-    fn push_lane(&mut self, when: SimTime, seq: u64, payload: E) {
-        let want_wheel = match self.kind {
-            QueueKind::Heap => false,
-            QueueKind::Calendar => true,
-            QueueKind::Auto => self.len() >= AUTO_WHEEL_MIN_DEPTH,
-        };
-        if want_wheel {
-            if self.wheel.len == 0 {
-                self.wheel.rebase(self.now.as_nanos());
-            }
-            if self.wheel.accepts(when.as_nanos()) {
-                self.wheel.insert(when, seq, payload);
-                self.calendar_hits += 1;
-                return;
-            }
-            self.heap_fallbacks += 1;
-        }
-        self.heap.push(Scheduled { when, seq, payload });
-        self.sift_up(self.heap.len() - 1);
     }
 
     /// Schedules `payload` to fire at `when`, rejecting events in the
@@ -532,13 +161,13 @@ impl<E> EventQueue<E> {
         self.next_seq += 1;
         if self.immediate.is_empty() {
             // An empty buffer adopts this event's timestamp as the new
-            // epoch: an O(1) append with no sift. With the lanes also
+            // epoch: an O(1) append with no sift. With the heap also
             // empty this is the pure event-chain mode — the whole
             // schedule/pop cycle runs on the deque without a single
             // comparison, so it counts as a fast-path schedule.
             self.imm_time = when;
             self.immediate.push_back(payload);
-            if self.lanes_empty() {
+            if self.heap.is_empty() {
                 self.fast_path += 1;
             }
         } else if when == self.imm_time {
@@ -548,7 +177,8 @@ impl<E> EventQueue<E> {
             self.fast_path += 1;
         } else {
             let seq = self.next_seq;
-            self.push_lane(when, seq, payload);
+            self.heap.push(Scheduled { when, seq, payload });
+            self.sift_up(self.heap.len() - 1);
         }
         let depth = self.len() as u64;
         if depth > self.max_depth {
@@ -558,14 +188,11 @@ impl<E> EventQueue<E> {
     }
 
     /// Occupancy counters accumulated since construction; a pure
-    /// function of the simulated event stream (and, for the routing
-    /// diagnostics, the configured kind).
+    /// function of the simulated event stream.
     pub fn obs_stats(&self) -> QueueObs {
         QueueObs {
             scheduled: self.next_seq,
             fast_path: self.fast_path,
-            calendar_hits: self.calendar_hits,
-            heap_fallbacks: self.heap_fallbacks,
             max_depth: self.max_depth,
         }
     }
@@ -586,37 +213,20 @@ impl<E> EventQueue<E> {
     /// Removes and returns the earliest event, advancing the clock to its
     /// firing time. Returns `None` when the queue is empty.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        // Surface the wheel's minimum into a level-0 slot, then take the
-        // smaller of the two lane fronts. Lane entries at `when ==
-        // imm_time` predate everything in the immediate buffer (while
-        // the buffer is non-empty, same-epoch schedules are routed to
-        // the buffer), so they pop first; lane entries at earlier times
-        // pop first by time order.
-        self.wheel.prepare_min();
-        let heap_key = self.heap.first().map(|s| s.key());
-        let wheel_key = self.wheel.front_key();
-        let lane_key = match (heap_key, wheel_key) {
-            (Some(h), Some(w)) => Some(h.min(w)),
-            (h, w) => h.or(w),
-        };
-        if !self.immediate.is_empty() && lane_key.is_none_or(|(t, _)| t > self.imm_time) {
+        // Heap entries at `when == imm_time` predate everything in the
+        // immediate buffer (while the buffer is non-empty, same-epoch
+        // schedules are routed to the buffer), so they pop first; heap
+        // entries at earlier times pop first by time order.
+        let heap_t = self.heap.first().map(|s| s.when);
+        if !self.immediate.is_empty() && heap_t.is_none_or(|t| t > self.imm_time) {
             let payload = self.immediate.pop_front().expect("checked non-empty");
             self.now = self.imm_time;
             return Some((self.now, payload));
         }
-        let key = lane_key?;
-        if wheel_key == Some(key) {
-            let e = self.wheel.pop_front();
-            debug_assert!(e.when >= self.now);
-            self.now = e.when;
-            return Some((e.when, e.payload));
+        if self.heap.is_empty() {
+            return None;
         }
-        let last = self.heap.len() - 1;
-        self.heap.swap(0, last);
-        let s = self.heap.pop().expect("checked non-empty");
-        if !self.heap.is_empty() {
-            self.sift_down(0);
-        }
+        let s = self.pop_heap();
         debug_assert!(s.when >= self.now);
         self.now = s.when;
         Some((s.when, s.payload))
@@ -628,60 +238,20 @@ impl<E> EventQueue<E> {
     /// queue is empty.
     ///
     /// This is the batched delivery path: one lane comparison per epoch
-    /// instead of one per event, and the wheel contributes its entire
-    /// level-0 slot (all events of the instant, already FIFO) as a
-    /// slice-style drain. Events the caller schedules *while processing*
-    /// the batch carry higher sequence numbers than everything drained,
-    /// so delivering them in a follow-up epoch (same instant or later)
-    /// reproduces exactly the one-at-a-time [`pop`](Self::pop) order.
+    /// instead of one per event. Events the caller schedules *while
+    /// processing* the batch carry higher sequence numbers than
+    /// everything drained, so delivering them in a follow-up epoch (same
+    /// instant or later) reproduces exactly the one-at-a-time
+    /// [`pop`](Self::pop) order.
     pub fn pop_epoch(&mut self, out: &mut Vec<E>) -> Option<SimTime> {
         out.clear();
-        self.wheel.prepare_min();
-        let heap_t = self.heap.first().map(|s| s.when);
-        let wheel_t = self.wheel.front_key().map(|(t, _)| t);
-        let lane_t = match (heap_t, wheel_t) {
-            (Some(h), Some(w)) => Some(h.min(w)),
-            (h, w) => h.or(w),
-        };
-        let buf_t = (!self.immediate.is_empty()).then_some(self.imm_time);
-        let t = match (lane_t, buf_t) {
-            (Some(l), Some(b)) => l.min(b),
-            (l, b) => l.or(b)?,
-        };
-        if lane_t.is_some_and(|l| l == t) {
-            // Merge the two lane runs at `t` by sequence number; each
-            // lane yields its own run in ascending seq already.
-            loop {
-                let h = self
-                    .heap
-                    .first()
-                    .filter(|s| s.when == t)
-                    .map(|s| s.seq)
-                    .unwrap_or(u64::MAX);
-                let w = self
-                    .wheel
-                    .front_key()
-                    .filter(|&(wt, _)| wt == t)
-                    .map(|(_, seq)| seq)
-                    .unwrap_or(u64::MAX);
-                if h == u64::MAX && w == u64::MAX {
-                    break;
-                }
-                if w < h {
-                    out.push(self.wheel.pop_front().payload);
-                } else {
-                    let last = self.heap.len() - 1;
-                    self.heap.swap(0, last);
-                    let s = self.heap.pop().expect("checked non-empty");
-                    if !self.heap.is_empty() {
-                        self.sift_down(0);
-                    }
-                    out.push(s.payload);
-                }
-            }
+        let t = self.peek_time()?;
+        // The heap's run at `t` pops in seq order; buffer entries carry
+        // the highest seqs at this instant, so they follow.
+        while self.heap.first().is_some_and(|s| s.when == t) {
+            out.push(self.pop_heap().payload);
         }
         if !self.immediate.is_empty() && self.imm_time == t {
-            // Buffer entries carry the highest seqs at this instant.
             out.extend(self.immediate.drain(..));
         }
         debug_assert!(t >= self.now);
@@ -691,39 +261,43 @@ impl<E> EventQueue<E> {
 
     /// The firing time of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        let lane_min = match (
-            self.heap.first().map(|s| s.when),
-            self.wheel.peek_min_time(),
-        ) {
-            (Some(h), Some(w)) => Some(h.min(w)),
-            (h, w) => h.or(w),
-        };
+        let heap_t = self.heap.first().map(|s| s.when);
         if self.immediate.is_empty() {
-            return lane_min;
+            return heap_t;
         }
-        // A lane entry may fire before the buffer's epoch; the earliest
+        // A heap entry may fire before the buffer's epoch; the earliest
         // pending time is the minimum of the two.
-        Some(match lane_min {
-            Some(l) if l < self.imm_time => l,
+        Some(match heap_t {
+            Some(h) if h < self.imm_time => h,
             _ => self.imm_time,
         })
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len() + self.wheel.len + self.immediate.len()
+        self.heap.len() + self.immediate.len()
     }
 
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.lanes_empty() && self.immediate.is_empty()
+        self.heap.is_empty() && self.immediate.is_empty()
     }
 
     /// Drops all pending events, leaving the clock where it is.
     pub fn clear(&mut self) {
         self.heap.clear();
-        self.wheel.clear();
         self.immediate.clear();
+    }
+
+    /// Removes the heap's root. The heap must be non-empty.
+    fn pop_heap(&mut self) -> Scheduled<E> {
+        let last = self.heap.len() - 1;
+        self.heap.swap(0, last);
+        let s = self.heap.pop().expect("checked non-empty");
+        if !self.heap.is_empty() {
+            self.sift_down(0);
+        }
+        s
     }
 
     /// Moves the entry at `i` toward the root until its parent is no
@@ -789,15 +363,13 @@ mod tests {
 
     #[test]
     fn ties_break_fifo() {
-        for kind in QueueKind::ALL {
-            let mut q = EventQueue::with_kind(kind);
-            let t = SimTime::from_nanos(7);
-            for i in 0..100 {
-                q.schedule(t, i);
-            }
-            let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-            assert_eq!(order, (0..100).collect::<Vec<_>>(), "{kind} broke FIFO");
+        let mut q = EventQueue::new();
+        let t = SimTime::from_nanos(7);
+        for i in 0..100 {
+            q.schedule(t, i);
         }
+        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, (0..100).collect::<Vec<_>>(), "broke FIFO");
     }
 
     #[test]
@@ -823,38 +395,34 @@ mod tests {
 
     #[test]
     fn try_schedule_reports_past_events() {
-        for kind in QueueKind::ALL {
-            let mut q = EventQueue::with_kind(kind);
-            q.schedule(SimTime::from_nanos(10), 1);
-            q.pop();
-            let err = q.try_schedule(SimTime::from_nanos(5), 2).unwrap_err();
-            assert!(matches!(
-                err,
-                ConfigError::PastEvent {
-                    when_ns: 5,
-                    now_ns: 10
-                }
-            ));
-            // The failed schedule left the queue untouched.
-            assert!(q.is_empty());
-            assert!(q.try_schedule(SimTime::from_nanos(10), 3).is_ok());
-            assert_eq!(q.pop(), Some((SimTime::from_nanos(10), 3)));
-        }
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_nanos(10), 1);
+        q.pop();
+        let err = q.try_schedule(SimTime::from_nanos(5), 2).unwrap_err();
+        assert!(matches!(
+            err,
+            ConfigError::PastEvent {
+                when_ns: 5,
+                now_ns: 10
+            }
+        ));
+        // The failed schedule left the queue untouched.
+        assert!(q.is_empty());
+        assert!(q.try_schedule(SimTime::from_nanos(10), 3).is_ok());
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(10), 3)));
     }
 
     #[test]
     fn peek_len_clear() {
-        for kind in QueueKind::ALL {
-            let mut q = EventQueue::with_kind(kind);
-            assert!(q.is_empty());
-            assert_eq!(q.peek_time(), None);
-            q.schedule(SimTime::from_nanos(3), 1);
-            q.schedule(SimTime::from_nanos(1), 2);
-            assert_eq!(q.len(), 2);
-            assert_eq!(q.peek_time(), Some(SimTime::from_nanos(1)));
-            q.clear();
-            assert!(q.is_empty());
-        }
+        let mut q = EventQueue::new();
+        assert!(q.is_empty());
+        assert_eq!(q.peek_time(), None);
+        q.schedule(SimTime::from_nanos(3), 1);
+        q.schedule(SimTime::from_nanos(1), 2);
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(1)));
+        q.clear();
+        assert!(q.is_empty());
     }
 
     #[test]
@@ -878,20 +446,18 @@ mod tests {
     fn same_instant_fast_path_preserves_fifo() {
         // Mix buffered and lane entries at one instant: earlier-scheduled
         // must still pop first, wherever each entry landed internally.
-        for kind in QueueKind::ALL {
-            let mut q = EventQueue::with_kind(kind);
-            q.schedule(SimTime::from_nanos(10), "a"); // starts the epoch buffer
-            q.schedule(SimTime::from_nanos(10), "b"); // same epoch: O(1) append
-            q.schedule(SimTime::from_nanos(20), "later"); // different time: lane
-            assert_eq!(q.pop(), Some((SimTime::from_nanos(10), "a")));
-            q.schedule(SimTime::from_nanos(10), "c");
-            q.schedule(SimTime::from_nanos(10), "d");
-            assert_eq!(q.pop(), Some((SimTime::from_nanos(10), "b")));
-            assert_eq!(q.pop(), Some((SimTime::from_nanos(10), "c")));
-            assert_eq!(q.pop(), Some((SimTime::from_nanos(10), "d")));
-            assert_eq!(q.pop(), Some((SimTime::from_nanos(20), "later")));
-            assert_eq!(q.pop(), None);
-        }
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_nanos(10), "a"); // starts the epoch buffer
+        q.schedule(SimTime::from_nanos(10), "b"); // same epoch: O(1) append
+        q.schedule(SimTime::from_nanos(20), "later"); // different time: lane
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(10), "a")));
+        q.schedule(SimTime::from_nanos(10), "c");
+        q.schedule(SimTime::from_nanos(10), "d");
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(10), "b")));
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(10), "c")));
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(10), "d")));
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(20), "later")));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
@@ -919,34 +485,27 @@ mod tests {
     fn pure_event_chain_never_touches_the_lanes() {
         // The dominant single-client pattern: pop the only pending event,
         // schedule its successor at a strictly later (untied) time. The
-        // buffer absorbs every schedule with the lanes empty throughout,
-        // so each one counts as a fast-path schedule — identically under
-        // every QueueKind.
-        for kind in QueueKind::ALL {
-            let mut q = EventQueue::with_kind(kind);
-            q.schedule(SimTime::from_nanos(3), 0u64);
-            for i in 1..100u64 {
-                let (t, e) = q.pop().expect("chain event pending");
-                assert_eq!(e, i - 1);
-                q.schedule(t + crate::SimDuration::from_nanos(2 * i + 1), i);
-            }
-            assert_eq!(
-                q.obs_stats().fast_path,
-                100,
-                "every chain schedule is O(1) under {kind}"
-            );
-            // Once a second event makes a lane non-empty, adoption stops
-            // counting: ordering work is back on the table.
-            q.schedule(SimTime::from_nanos(1 << 40), 1000);
-            let (_, e) = q.pop().expect("pending");
-            assert_eq!(e, 99);
-            q.schedule(SimTime::from_nanos(1 << 41), 1001); // adopts, lane busy
-            assert_eq!(
-                q.obs_stats().fast_path,
-                100,
-                "lane-backed adoption is not fast"
-            );
+        // buffer absorbs every schedule with the heap empty throughout,
+        // so each one counts as a fast-path schedule.
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_nanos(3), 0u64);
+        for i in 1..100u64 {
+            let (t, e) = q.pop().expect("chain event pending");
+            assert_eq!(e, i - 1);
+            q.schedule(t + crate::SimDuration::from_nanos(2 * i + 1), i);
         }
+        assert_eq!(q.obs_stats().fast_path, 100, "every chain schedule is O(1)");
+        // Once a second event makes the heap non-empty, adoption stops
+        // counting: ordering work is back on the table.
+        q.schedule(SimTime::from_nanos(1 << 40), 1000);
+        let (_, e) = q.pop().expect("pending");
+        assert_eq!(e, 99);
+        q.schedule(SimTime::from_nanos(1 << 41), 1001); // adopts, heap busy
+        assert_eq!(
+            q.obs_stats().fast_path,
+            100,
+            "heap-backed adoption is not fast"
+        );
     }
 
     #[test]
@@ -954,16 +513,14 @@ mod tests {
         // A lane entry at time T scheduled while the buffer held an
         // earlier epoch must pop before buffer entries from a *restarted*
         // epoch at T.
-        for kind in QueueKind::ALL {
-            let mut q = EventQueue::with_kind(kind);
-            q.schedule(SimTime::from_nanos(5), "early"); // epoch 5
-            q.schedule(SimTime::from_nanos(10), "lane@10"); // lane (epoch is 5)
-            assert_eq!(q.pop(), Some((SimTime::from_nanos(5), "early")));
-            q.schedule(SimTime::from_nanos(10), "buf@10"); // buffer restarts at 10
-            assert_eq!(q.pop(), Some((SimTime::from_nanos(10), "lane@10")));
-            assert_eq!(q.pop(), Some((SimTime::from_nanos(10), "buf@10")));
-            assert_eq!(q.pop(), None);
-        }
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_nanos(5), "early"); // epoch 5
+        q.schedule(SimTime::from_nanos(10), "lane@10"); // lane (epoch is 5)
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(5), "early")));
+        q.schedule(SimTime::from_nanos(10), "buf@10"); // buffer restarts at 10
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(10), "lane@10")));
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(10), "buf@10")));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
@@ -971,33 +528,20 @@ mod tests {
         // Exhaustive order check against a naive (when, seq) reference
         // model, on a tie-heavy interleaved schedule/pop workload — the
         // pattern batch engines and fixed retry timeouts produce.
-        for kind in QueueKind::ALL {
-            let mut rng = crate::SimRng::seed_from(4242);
-            let mut q = EventQueue::with_kind(kind);
-            let mut model: Vec<(u64, u64)> = Vec::new(); // (when, seq)
-            let mut seq = 0u64;
-            let mut fast = 0u64;
-            for _ in 0..4000 {
-                if rng.chance(0.55) || q.is_empty() {
-                    // Few distinct offsets => many exact ties, some at `now`.
-                    let when = q.now().as_nanos() + [0u64, 3, 3, 7][rng.next_u64() as usize % 4];
-                    q.schedule(SimTime::from_nanos(when), seq);
-                    model.push((when, seq));
-                    seq += 1;
-                } else {
-                    let (t, e) = q.pop().unwrap();
-                    let min = model
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, &k)| k)
-                        .map(|(i, _)| i)
-                        .unwrap();
-                    let want = model.remove(min);
-                    assert_eq!((t.as_nanos(), e), want, "pop order diverged from model");
-                }
-                fast = q.obs_stats().fast_path;
-            }
-            while let Some((t, e)) = q.pop() {
+        let mut rng = crate::SimRng::seed_from(4242);
+        let mut q = EventQueue::new();
+        let mut model: Vec<(u64, u64)> = Vec::new(); // (when, seq)
+        let mut seq = 0u64;
+        let mut fast = 0u64;
+        for _ in 0..4000 {
+            if rng.chance(0.55) || q.is_empty() {
+                // Few distinct offsets => many exact ties, some at `now`.
+                let when = q.now().as_nanos() + [0u64, 3, 3, 7][rng.next_u64() as usize % 4];
+                q.schedule(SimTime::from_nanos(when), seq);
+                model.push((when, seq));
+                seq += 1;
+            } else {
+                let (t, e) = q.pop().unwrap();
                 let min = model
                     .iter()
                     .enumerate()
@@ -1005,11 +549,22 @@ mod tests {
                     .map(|(i, _)| i)
                     .unwrap();
                 let want = model.remove(min);
-                assert_eq!((t.as_nanos(), e), want, "drain order diverged from model");
+                assert_eq!((t.as_nanos(), e), want, "pop order diverged from model");
             }
-            assert!(model.is_empty());
-            assert!(fast > 0, "tie-heavy schedule must exercise the fast path");
+            fast = q.obs_stats().fast_path;
         }
+        while let Some((t, e)) = q.pop() {
+            let min = model
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, &k)| k)
+                .map(|(i, _)| i)
+                .unwrap();
+            let want = model.remove(min);
+            assert_eq!((t.as_nanos(), e), want, "drain order diverged from model");
+        }
+        assert!(model.is_empty());
+        assert!(fast > 0, "tie-heavy schedule must exercise the fast path");
     }
 
     #[test]
@@ -1058,249 +613,79 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // Calendar-queue drop-in property tests: every kind must pop the
-    // exact (when, seq) order the heap kind pops, across random
-    // interleavings, heavy ties, horizon overflow, and base-advance
-    // insertions that tear events across the wheel and overflow lanes.
-    // ------------------------------------------------------------------
-
-    /// Drives `q` and a heap-kind reference through an identical
-    /// scripted workload and asserts every pop matches.
-    fn assert_drop_in(script_seed: u64, spread: u64, kind: QueueKind) {
-        let mut rng = crate::SimRng::seed_from(script_seed);
-        let mut q = EventQueue::with_kind(kind);
-        let mut reference = EventQueue::with_kind(QueueKind::Heap);
-        let mut id = 0u64;
-        for _ in 0..6000 {
-            if rng.chance(0.55) || q.is_empty() {
-                // A mix of near ties, mid-range, and far-beyond-horizon
-                // times, all relative to the current clock.
-                let offset = match rng.next_u64() % 8 {
-                    0 | 1 => 0,
-                    2 => 3,
-                    3..=5 => rng.next_u64() % spread,
-                    6 => rng.next_u64() % (1 << 30),
-                    _ => (1 << WHEEL_RANGE_BITS) + rng.next_u64() % 1000,
-                };
-                let when = SimTime::from_nanos(q.now().as_nanos() + offset);
-                q.schedule(when, id);
-                reference.schedule(when, id);
-                id += 1;
-            } else {
-                assert_eq!(q.pop(), reference.pop(), "{kind} diverged from heap");
-            }
-            assert_eq!(q.len(), reference.len());
-            assert_eq!(q.peek_time(), reference.peek_time());
-        }
-        loop {
-            let (a, b) = (q.pop(), reference.pop());
-            assert_eq!(a, b, "{kind} drain diverged from heap");
-            if a.is_none() {
-                break;
-            }
-        }
-        let (mine, theirs) = (q.obs_stats(), reference.obs_stats());
-        assert_eq!(mine.scheduled, theirs.scheduled);
-        assert_eq!(mine.fast_path, theirs.fast_path, "fast_path kind-dependent");
-        assert_eq!(mine.max_depth, theirs.max_depth, "max_depth kind-dependent");
-    }
-
-    #[test]
-    fn calendar_is_a_drop_in_for_the_heap() {
-        for seed in [1u64, 7, 1234] {
-            for spread in [50u64, 100_000, 1 << 34] {
-                assert_drop_in(seed, spread, QueueKind::Calendar);
-                assert_drop_in(seed, spread, QueueKind::Auto);
-            }
-        }
-    }
-
-    #[test]
-    fn calendar_rejects_past_events_like_the_heap() {
-        let mut q = EventQueue::with_kind(QueueKind::Calendar);
-        for i in 0..100u64 {
-            q.schedule(SimTime::from_nanos(10 + i), i);
-        }
-        q.pop();
-        q.pop();
-        let err = q.try_schedule(SimTime::from_nanos(3), 999).unwrap_err();
-        assert!(matches!(err, ConfigError::PastEvent { .. }));
-        assert_eq!(q.len(), 98, "failed schedule left the queue untouched");
-    }
-
-    #[test]
-    fn wheel_overflow_lane_handles_far_future() {
-        // Events beyond the 2^36 ns horizon overflow to the heap lane
-        // and must interleave correctly with wheel entries.
-        let mut q = EventQueue::with_kind(QueueKind::Calendar);
-        let far = 1u64 << 40;
-        q.schedule(SimTime::from_nanos(far), "far");
-        q.schedule(SimTime::from_nanos(100), "near");
-        q.schedule(SimTime::from_nanos(far + 1), "farther");
-        assert_eq!(q.pop(), Some((SimTime::from_nanos(100), "near")));
-        assert_eq!(q.pop(), Some((SimTime::from_nanos(far), "far")));
-        assert_eq!(q.pop(), Some((SimTime::from_nanos(far + 1), "farther")));
-        assert!(q.obs_stats().heap_fallbacks > 0, "overflow lane used");
-        assert!(q.obs_stats().calendar_hits > 0, "wheel used");
-    }
-
-    #[test]
-    fn wheel_rebase_survives_long_simulations() {
-        // Drain the wheel completely, jump the clock far past the old
-        // base, and keep scheduling: the empty wheel re-anchors instead
-        // of permanently overflowing to the heap.
-        let mut q = EventQueue::with_kind(QueueKind::Calendar);
-        q.schedule(SimTime::from_nanos(5), 0u64);
-        q.schedule(SimTime::from_nanos(6), 1u64);
-        while q.pop().is_some() {}
-        let far = 1u64 << 50; // far beyond the initial horizon
-        q.schedule(SimTime::from_nanos(far), 2u64);
-        q.schedule(SimTime::from_nanos(far + 3), 3u64);
-        q.schedule(SimTime::from_nanos(far + 1), 4u64);
-        assert_eq!(q.pop(), Some((SimTime::from_nanos(far), 2)));
-        assert_eq!(q.pop(), Some((SimTime::from_nanos(far + 1), 4)));
-        assert_eq!(q.pop(), Some((SimTime::from_nanos(far + 3), 3)));
-    }
-
-    #[test]
-    fn base_advance_routes_late_inserts_to_the_overflow_lane() {
-        // Cascading can advance the wheel base ahead of `now`; an insert
-        // between `now` and the advanced base cannot be bucketed and
-        // must fall back to the heap lane — and still pop in order.
-        let mut q = EventQueue::with_kind(QueueKind::Calendar);
-        q.schedule(SimTime::from_nanos(10), "early"); // buffer epoch 10
-        q.schedule(SimTime::from_nanos(100_000), "late"); // wheel, level 2
-                                                          // This pop cascades "late" down to level 0, advancing the wheel
-                                                          // base to 100_000's window — far ahead of `now` (10).
-        assert_eq!(q.pop(), Some((SimTime::from_nanos(10), "early")));
-        assert_eq!(q.obs_stats().heap_fallbacks, 0);
-        q.schedule(SimTime::from_nanos(40), "buf"); // buffer epoch 40
-                                                    // Valid future time, but below the advanced base: the wheel
-                                                    // cannot bucket it, so it overflows to the heap lane.
-        q.schedule(SimTime::from_nanos(50), "low");
-        assert_eq!(
-            q.obs_stats().heap_fallbacks,
-            1,
-            "below-base insert overflows"
-        );
-        assert_eq!(q.pop(), Some((SimTime::from_nanos(40), "buf")));
-        assert_eq!(q.pop(), Some((SimTime::from_nanos(50), "low")));
-        assert_eq!(q.pop(), Some((SimTime::from_nanos(100_000), "late")));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn auto_starts_on_heap_and_switches_to_wheel() {
-        let mut q = EventQueue::with_kind(QueueKind::Auto);
-        // Below the depth threshold: heap only (plus buffer).
-        for i in 0..(AUTO_WHEEL_MIN_DEPTH as u64 / 2) {
-            q.schedule(SimTime::from_nanos(10 + 7 * i), i);
-        }
-        assert_eq!(
-            q.obs_stats().calendar_hits,
-            0,
-            "shallow queue stays on heap"
-        );
-        // Push past the threshold: new inserts go to the wheel.
-        for i in 0..(4 * AUTO_WHEEL_MIN_DEPTH as u64) {
-            q.schedule(SimTime::from_nanos(20 + 11 * i), 1000 + i);
-        }
-        assert!(q.obs_stats().calendar_hits > 0, "deep queue uses the wheel");
-        // Still pops in exact global order.
-        let mut last = (SimTime::ZERO, 0u64);
-        let mut n = 0;
-        while let Some((t, _)) = q.pop() {
-            assert!(t >= last.0);
-            last = (t, 0);
-            n += 1;
-        }
-        assert_eq!(n, AUTO_WHEEL_MIN_DEPTH / 2 + 4 * AUTO_WHEEL_MIN_DEPTH);
-    }
-
-    // ------------------------------------------------------------------
     // pop_epoch: batched delivery must replay exactly the pop order.
     // ------------------------------------------------------------------
 
     #[test]
     fn pop_epoch_matches_pop_order() {
-        for kind in QueueKind::ALL {
-            let mut rng = crate::SimRng::seed_from(2024);
-            let mut a = EventQueue::with_kind(kind);
-            let mut b = EventQueue::with_kind(kind);
-            for id in 0..3000u64 {
-                let when = [0u64, 0, 3, 17, 1 << 20][rng.next_u64() as usize % 5];
-                let t = SimTime::from_nanos(a.now().as_nanos() + when);
-                a.schedule(t, id);
-                b.schedule(t, id);
-                if rng.chance(0.3) {
-                    if let Some((t, e)) = a.pop() {
-                        let mut epoch = Vec::new();
-                        // Single-event epochs via pop must match the head
-                        // of b's epoch; drain b one epoch at a time and
-                        // compare against a popped one-by-one.
-                        let bt = b.pop_epoch(&mut epoch).expect("same pending set");
-                        assert_eq!(t, bt);
-                        assert_eq!(e, epoch[0]);
-                        for want in &epoch[1..] {
-                            let (t2, e2) = a.pop().expect("epoch peer pending");
-                            assert_eq!(t2, bt);
-                            assert_eq!(e2, *want);
-                        }
+        let mut rng = crate::SimRng::seed_from(2024);
+        let mut a = EventQueue::new();
+        let mut b = EventQueue::new();
+        for id in 0..3000u64 {
+            let when = [0u64, 0, 3, 17, 1 << 20][rng.next_u64() as usize % 5];
+            let t = SimTime::from_nanos(a.now().as_nanos() + when);
+            a.schedule(t, id);
+            b.schedule(t, id);
+            if rng.chance(0.3) {
+                if let Some((t, e)) = a.pop() {
+                    let mut epoch = Vec::new();
+                    // Single-event epochs via pop must match the head
+                    // of b's epoch; drain b one epoch at a time and
+                    // compare against a popped one-by-one.
+                    let bt = b.pop_epoch(&mut epoch).expect("same pending set");
+                    assert_eq!(t, bt);
+                    assert_eq!(e, epoch[0]);
+                    for want in &epoch[1..] {
+                        let (t2, e2) = a.pop().expect("epoch peer pending");
+                        assert_eq!(t2, bt);
+                        assert_eq!(e2, *want);
                     }
                 }
             }
-            let mut epoch = Vec::new();
-            while let Some(t) = b.pop_epoch(&mut epoch) {
-                for want in &epoch {
-                    let (t2, e2) = a.pop().expect("epoch peer pending");
-                    assert_eq!(t2, t, "epoch time diverged under {kind}");
-                    assert_eq!(e2, *want, "epoch order diverged under {kind}");
-                }
-            }
-            assert_eq!(a.pop(), None, "pop lane had extra events under {kind}");
         }
+        let mut epoch = Vec::new();
+        while let Some(t) = b.pop_epoch(&mut epoch) {
+            for want in &epoch {
+                let (t2, e2) = a.pop().expect("epoch peer pending");
+                assert_eq!(t2, t, "epoch time diverged");
+                assert_eq!(e2, *want, "epoch order diverged");
+            }
+        }
+        assert_eq!(a.pop(), None, "pop lane had extra events");
     }
 
     #[test]
-    fn pop_epoch_drains_ties_across_all_three_lanes() {
-        // One instant torn across heap lane, wheel lane, and epoch
-        // buffer must come out as a single seq-ordered batch. Auto
-        // routing splits the lanes: shallow schedules hit the heap,
-        // deep ones the wheel.
-        let mut q = EventQueue::with_kind(QueueKind::Auto);
+    fn pop_epoch_drains_ties_across_both_lanes() {
+        // One instant torn across the heap and the epoch buffer must
+        // come out as a single seq-ordered batch: the heap's run first
+        // (scheduled while the buffer held an earlier epoch), then the
+        // buffer entries of the restarted epoch.
+        let mut q = EventQueue::new();
         let t = SimTime::from_nanos(500);
         q.schedule(SimTime::from_nanos(100), 0u64); // adopts the buffer epoch
         let mut want = Vec::new();
         let mut id = 1u64;
-        // Shallow: these land on the heap lane.
+        // The buffer's epoch is 100, so these land on the heap.
         for _ in 0..8 {
             q.schedule(t, id);
             want.push(id);
             id += 1;
         }
-        // Fillers to push depth past the Auto threshold (later instant).
-        let mut fillers = 0;
-        while q.len() < AUTO_WHEEL_MIN_DEPTH {
-            q.schedule(SimTime::from_nanos(900), id);
-            id += 1;
-            fillers += 1;
-        }
-        // Deep: these land on the wheel lane, same instant `t`.
-        for _ in 0..8 {
-            q.schedule(t, id);
-            want.push(id);
-            id += 1;
-        }
-        let stats = q.obs_stats();
-        assert!(stats.calendar_hits > 0, "deep schedules used the wheel");
+        q.schedule(SimTime::from_nanos(900), 99); // later instant, heap
         let mut epoch = Vec::new();
         assert_eq!(q.pop_epoch(&mut epoch), Some(SimTime::from_nanos(100)));
         assert_eq!(epoch, vec![0]);
-        // The `t` epoch merges the heap run and the wheel run by seq.
+        // The buffer is empty again: the next schedule restarts it at
+        // `t`, and every follower appends to it.
+        for _ in 0..8 {
+            q.schedule(t, id);
+            want.push(id);
+            id += 1;
+        }
         assert_eq!(q.pop_epoch(&mut epoch), Some(t));
-        assert_eq!(epoch, want, "heap+wheel runs must merge FIFO");
+        assert_eq!(epoch, want, "heap run + buffer must merge FIFO");
         assert_eq!(q.pop_epoch(&mut epoch), Some(SimTime::from_nanos(900)));
-        assert_eq!(epoch.len(), fillers);
+        assert_eq!(epoch, vec![99]);
         assert!(q.is_empty());
     }
 
@@ -1313,40 +698,15 @@ mod tests {
     }
 
     #[test]
-    fn queue_kind_parse_round_trips() {
-        for kind in QueueKind::ALL {
-            assert_eq!(QueueKind::parse(kind.as_str()), Some(kind));
-        }
-        assert_eq!(QueueKind::parse("fifo"), None);
-        assert_eq!(
-            QueueKind::from_u8(QueueKind::Calendar.to_u8()),
-            QueueKind::Calendar
-        );
-    }
-
-    #[test]
-    fn default_kind_is_process_configurable() {
-        let original = default_queue_kind();
-        set_default_queue_kind(QueueKind::Heap);
-        assert_eq!(EventQueue::<u8>::new().kind(), QueueKind::Heap);
-        set_default_queue_kind(original);
-        assert_eq!(EventQueue::<u8>::new().kind(), original);
-    }
-
-    #[test]
     fn obs_merge_accumulates_all_counters() {
         let a = QueueObs {
             scheduled: 10,
             fast_path: 4,
-            calendar_hits: 3,
-            heap_fallbacks: 1,
             max_depth: 7,
         };
         let b = QueueObs {
             scheduled: 5,
             fast_path: 1,
-            calendar_hits: 2,
-            heap_fallbacks: 2,
             max_depth: 9,
         };
         let m = a.merged(&b);
@@ -1355,8 +715,6 @@ mod tests {
             QueueObs {
                 scheduled: 15,
                 fast_path: 5,
-                calendar_hits: 5,
-                heap_fallbacks: 3,
                 max_depth: 9,
             }
         );

@@ -23,7 +23,7 @@ use std::collections::VecDeque;
 use wcs_simcore::stats::Histogram;
 #[cfg(test)]
 use wcs_simcore::SimDuration;
-use wcs_simcore::{ArenaSlice, ConfigError, EpochArena, EventQueue, SimRng, SimTime};
+use wcs_simcore::{ConfigError, EventQueue, SimRng, SimTime};
 
 use crate::engine::{RunStats, ServerSpec};
 use crate::failover::{ClusterFaults, FaultStats, RetryPolicy};
@@ -56,16 +56,40 @@ pub struct Cluster {
     pub scaleout_overhead: f64,
 }
 
-/// One physical attempt at a logical request.
+/// A `Copy` handle to one request's stage list in the run-local stage
+/// pool (a `Vec<Stage>` every request appends to).
 ///
-/// Stages live in the run's [`EpochArena`] and attempts carry a `Copy`
-/// [`ArenaSlice`] handle: a timeout or crash hands the *same* stage list
-/// to the retry event by copying 12 bytes — no refcount traffic, no
-/// re-allocating a `Vec` per attempt. Retries and zombie drains are the
-/// fault path's hottest allocation site, and the bump arena removes the
-/// per-request `Rc<[Stage]>` allocation they used to share.
+/// A timeout or crash hands the *same* stage list to the retry event by
+/// copying 8 bytes — no refcount traffic, no re-allocating a `Vec` per
+/// attempt. Retries and zombie drains are the fault path's hottest
+/// allocation site.
+#[derive(Clone, Copy)]
+struct StageSpan {
+    start: u32,
+    len: u32,
+}
+
+impl StageSpan {
+    /// Appends `stages` to `pool` and returns their handle.
+    fn push(pool: &mut Vec<Stage>, stages: &[Stage]) -> StageSpan {
+        let start = pool.len();
+        pool.extend_from_slice(stages);
+        let to_u32 = |n: usize| u32::try_from(n).expect("stage pool overflowed u32 indexing");
+        StageSpan {
+            start: to_u32(start),
+            len: to_u32(stages.len()),
+        }
+    }
+
+    /// The stages this handle spans (bounds-checked).
+    fn of(self, pool: &[Stage]) -> &[Stage] {
+        &pool[self.start as usize..][..self.len as usize]
+    }
+}
+
+/// One physical attempt at a logical request.
 struct Attempt {
-    stages: ArenaSlice,
+    stages: StageSpan,
     next_stage: usize,
     /// First dispatch instant of the *logical* request, so latency spans
     /// retries.
@@ -97,7 +121,7 @@ enum CEv {
     Up { server: usize },
     /// A backed-off retry re-enters the dispatcher.
     Retry {
-        stages: ArenaSlice,
+        stages: StageSpan,
         logical_started: SimTime,
         attempt_no: u32,
     },
@@ -280,11 +304,11 @@ impl Cluster {
         let mut events: EventQueue<CEv> =
             EventQueue::with_capacity(n_clients as usize * 2 + fault_events);
         // All stage lists for the run live here; events and attempts
-        // carry `Copy` handles. The arena grows with the run's logical
+        // carry `Copy` handles. The pool grows with the run's logical
         // request count (a few stages each) and is dropped wholesale at
-        // the end — one bump append per request instead of one `Rc`
+        // the end — one append per request instead of one `Rc`
         // allocation plus refcount churn on every retry and zombie.
-        let mut arena: EpochArena<Stage> = EpochArena::with_capacity(n_clients as usize * 8);
+        let mut stage_pool: Vec<Stage> = Vec::with_capacity(n_clients as usize * 8);
         let mut inflight: Vec<Attempt> = Vec::new();
         let mut slot_gen: Vec<u64> = Vec::new();
         let mut active: Vec<bool> = Vec::new();
@@ -295,7 +319,7 @@ impl Cluster {
         let mut busy_ns: Vec<[u128; 4]> = vec![[0; 4]; s];
         let mut in_flight_per_server: Vec<u32> = vec![0; s];
         let mut up: Vec<bool> = vec![true; s];
-        let mut parked: VecDeque<(ArenaSlice, SimTime, u32)> = VecDeque::new();
+        let mut parked: VecDeque<(StageSpan, SimTime, u32)> = VecDeque::new();
         let mut rr_next = 0usize;
 
         // Pre-schedule the whole outage plan; zero windows => zero events.
@@ -356,7 +380,8 @@ impl Cluster {
                         break;
                     };
                     busy[$srv][ri] += 1;
-                    let svc = arena.get(inflight[req].stages)[inflight[req].next_stage].service;
+                    let svc =
+                        inflight[req].stages.of(&stage_pool)[inflight[req].next_stage].service;
                     busy_ns[$srv][ri] += svc.as_nanos() as u128;
                     events.schedule(
                         $now + svc,
@@ -463,12 +488,12 @@ impl Cluster {
 
         macro_rules! enqueue {
             ($stages:expr, $logical_started:expr, $attempt_no:expr, $now:expr) => {{
-                let stages: ArenaSlice = $stages;
+                let stages: StageSpan = $stages;
                 match pick_server!($now) {
                     None => parked.push_back((stages, $logical_started, $attempt_no)),
                     Some(server) => {
                         in_flight_per_server[server] += 1;
-                        let first = arena.get(stages)[0].resource;
+                        let first = stages.of(&stage_pool)[0].resource;
                         let attempt = Attempt {
                             stages,
                             next_stage: 0,
@@ -522,7 +547,7 @@ impl Cluster {
                     for st in &mut stages {
                         *st = Stage::new(st.resource, st.service * inflation);
                     }
-                    enqueue!(arena.alloc_copy(&stages), $now, 0u32, $now);
+                    enqueue!(StageSpan::push(&mut stage_pool, &stages), $now, 0u32, $now);
                     break 'gen;
                 }
             }};
@@ -633,7 +658,7 @@ impl Cluster {
                     }
                     busy[server][resource.index()] -= 1;
                     inflight[slot].next_stage += 1;
-                    if inflight[slot].next_stage >= inflight[slot].stages.len() {
+                    if inflight[slot].next_stage >= inflight[slot].stages.len as usize {
                         in_flight_per_server[server] -= 1;
                         slot_gen[slot] += 1; // voids a pending Timeout
                         active[slot] = false;
@@ -647,8 +672,8 @@ impl Cluster {
                             launch!(now);
                         }
                     } else {
-                        let r =
-                            arena.get(inflight[slot].stages)[inflight[slot].next_stage].resource;
+                        let r = inflight[slot].stages.of(&stage_pool)[inflight[slot].next_stage]
+                            .resource;
                         queues[server][r.index()].push_back(slot);
                         try_start!(server, r, now);
                     }

@@ -1,10 +1,11 @@
 //! Benchmarks of the two-level memory simulator (Figure 4's engine):
-//! trace replay throughput per replacement policy.
+//! trace replay throughput per replacement policy, and materializing a
+//! trace the way studies do.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use wcs_memshare::policy::PolicyKind;
 use wcs_memshare::twolevel::TwoLevelSim;
-use wcs_workloads::memtrace::{params_for, MemTraceGen};
+use wcs_workloads::memtrace::{params_for, MemTraceBuf, MemTraceGen};
 use wcs_workloads::WorkloadId;
 
 fn bench_policies(c: &mut Criterion) {
@@ -28,8 +29,7 @@ fn bench_policies(c: &mut Criterion) {
 fn bench_trace_generation(c: &mut Criterion) {
     c.bench_function("memtrace_generate_100k", |b| {
         b.iter(|| {
-            let mut gen = MemTraceGen::new(params_for(WorkloadId::Ytube), 11);
-            black_box(gen.take_vec(100_000).len())
+            black_box(MemTraceBuf::generate(params_for(WorkloadId::Ytube), 11, 100_000).len())
         })
     });
 }

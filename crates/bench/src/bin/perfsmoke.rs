@@ -9,7 +9,8 @@
 //! times vary — and the `cross_check` section proves it, evaluating one
 //! design under every worker-thread count × memo setting and requiring
 //! byte-identical renders. The smoke also rates the chunked SoA replay
-//! kernels (`perf.replay`: pages/sec and blocks/sec) and scales the
+//! kernels (`perf.replay`: pages/sec and blocks/sec) and memory-trace
+//! generation (`perf.memtrace`: accesses/sec), and scales the
 //! multi-process sweep service across worker counts (1, 2, 4 processes,
 //! no chaos), folding the wall times into the `service` section. Run with
 //! `cargo run --release -p wcs-bench --bin perfsmoke [--threads N]`.
@@ -155,6 +156,22 @@ fn replay_kernel_rates(pool: &ThreadPool) -> (f64, f64) {
     let blocks_per_sec =
         (DISK_REQUESTS as u64 * u64::from(dparams.request_blocks)) as f64 / (ms / 1e3);
     (pages_per_sec, blocks_per_sec)
+}
+
+/// Memory-trace generation rate: materialize a 4M-access websearch trace
+/// with `MemTraceBuf::generate` (serial pool), reported in accesses/sec,
+/// best of three. Feeds `perf.memtrace` in the JSON and is gated against
+/// the committed baseline in CI.
+fn memtrace_accesses_per_sec() -> f64 {
+    const ACCESSES: usize = 4_000_000;
+    let params = mem_params(WorkloadId::Websearch);
+    let mut best = 0.0f64;
+    for _ in 0..3 {
+        let (buf, ms) = timed(|| MemTraceBuf::generate(params, 1, ACCESSES));
+        std::hint::black_box(buf.len());
+        best = best.max(ACCESSES as f64 / (ms / 1e3));
+    }
+    best
 }
 
 /// FNV-1a over a render, for reporting a compact checksum in the JSON.
@@ -456,6 +473,7 @@ fn main() {
     );
 
     let (replay_pages_per_sec, replay_blocks_per_sec) = replay_kernel_rates(&pool);
+    let memtrace_rate = memtrace_accesses_per_sec();
     let (cross_configs, cross_fnv, cross_ms) = engine_cross_check(&args);
     let service_points = service_scaling(args.seed.unwrap_or(42));
 
@@ -523,7 +541,8 @@ fn main() {
          \"fast_path_share\": {fast_path_share:.4}, \
          \"scenario_evals_per_sec\": {scenario_evals_per_sec:.3}, \
          \"replay\": {{\"pages_per_sec\": {replay_pages_per_sec:.0}, \
-         \"blocks_per_sec\": {replay_blocks_per_sec:.0}}}}},"
+         \"blocks_per_sec\": {replay_blocks_per_sec:.0}}}, \
+         \"memtrace\": {{\"accesses_per_sec\": {memtrace_rate:.0}}}}},"
     );
     let _ = writeln!(
         json,
@@ -549,6 +568,7 @@ fn main() {
         "  replay kernels: twolevel {replay_pages_per_sec:.2e} pages/sec, \
          flashcache {replay_blocks_per_sec:.2e} blocks/sec"
     );
+    println!("  memtrace generation: {memtrace_rate:.2e} accesses/sec");
     println!(
         "  cross-check: {cross_configs} engine configs byte-identical \
          (fnv64 {cross_fnv:#018x}, {cross_ms:.0} ms)"

@@ -250,11 +250,23 @@ impl Distribution for BoundedPareto {
 ///
 /// Used for search keyword popularity and video popularity (the paper cites
 /// Zipf usage patterns for both `websearch` and `ytube`). Sampling is by
-/// lower-bound search over the precomputed CDF, accelerated by a guide
-/// table that maps the uniform draw to a narrow CDF bracket: popular head
-/// ranks resolve in a single probe and the tail search touches only one
-/// or two cache lines, instead of the O(log n) walk across the whole CDF
-/// that dominated trace materialization.
+/// lower-bound search over the precomputed CDF. A guide table maps each
+/// uniform draw to its bucket, a narrow CDF bracket, so a lookup reads
+/// one pair of guide entries and searches a few CDF entries.
+///
+/// Where the lookups come from matters more than how many entries they
+/// touch. The memory-trace tables hold 400–500k ranks (a ~4 MB CDF), so
+/// a random draw's bracket misses cache, and the bracket search's
+/// data-dependent branches serialize those misses: each lookup's loads
+/// wait behind the previous lookup's mispredicted branches, so
+/// consecutive draws get no memory-level parallelism. On the 2-core
+/// reference box a random [`rank_of`](Self::rank_of) costs ~30 ns, as
+/// much as a chain of dependent lookups, while the same lookups on sorted
+/// draws cost ~10 ns. A denser guide or a smaller in-bucket table leaves
+/// that unchanged. Bulk samplers therefore resolve whole blocks through
+/// [`ranks_of`](Self::ranks_of) or a reused [`RankBatch`], which visit
+/// the draws in ascending bucket order and so read the guide and the CDF
+/// front to back; the ranks are exactly those `rank_of` returns.
 ///
 /// # Example
 /// ```
@@ -355,12 +367,39 @@ impl Zipf {
         // Guide bracket: every entry before `lo` is <= the bucket's lower
         // boundary <= u, and the lower bound for u is at most the next
         // bucket's count (entries <= its boundary) since u < boundary.
-        let j = ((u * self.guide_scale) as usize).min(self.guide.len() - 2);
+        let j = self.bucket_of(u);
         let lo = self.guide[j] as usize;
         let hi = (self.guide[j + 1] as usize).min(self.cdf.len());
         // Lower bound within the bracket: first index with cdf[i] > u.
         let idx = lo + self.cdf[lo..hi].partition_point(|&c| c <= u);
         (idx + 1).min(self.cdf.len())
+    }
+
+    /// Guide bucket of a draw `u` in `[0, 1)`. The scaled draw is at most
+    /// the bucket count (≤ 65,536), so converting through `u32` saturates
+    /// exactly where `usize` would; it is the cheaper conversion.
+    #[inline]
+    fn bucket_of(&self, u: f64) -> usize {
+        ((u * self.guide_scale) as u32 as usize).min(self.guide.len() - 2)
+    }
+
+    /// Batch form of [`rank_of`](Self::rank_of): `ranks[i] = rank_of(us[i])`
+    /// for every `i`, resolved in guide-bucket order through a
+    /// [`RankBatch`].
+    ///
+    /// # Panics
+    /// Panics if the slices differ in length.
+    pub fn ranks_of(&self, us: &[f64], ranks: &mut [u32]) {
+        assert_eq!(
+            us.len(),
+            ranks.len(),
+            "draw and rank slices differ in length"
+        );
+        let mut batch = RankBatch::default();
+        for &u in us {
+            batch.push(self, u);
+        }
+        batch.resolve(self, |i, rank| ranks[i] = rank);
     }
 
     /// Probability of the given 1-based rank.
@@ -378,6 +417,72 @@ impl Distribution for Zipf {
     }
     fn mean(&self) -> f64 {
         self.mean_rank
+    }
+}
+
+/// Reusable scratch that resolves a block of [`Zipf`] draws in
+/// guide-bucket order rather than draw order (see [`Zipf`] for why the
+/// order matters).
+///
+/// [`push`](Self::push) records each draw and counts it into its guide
+/// bucket. [`resolve`](Self::resolve) then counting-sorts the block by
+/// bucket, an `O(n + buckets)` pass, maps every draw to its rank with
+/// [`Zipf::rank_of`] in ascending bucket order, and hands each
+/// `(push position, rank)` pair to the caller, who scatters it back into
+/// draw order. Resolving leaves the scratch empty, so one batch serves
+/// every block a worker runs, for any mix of [`Zipf`]s. A block must be
+/// pushed and resolved against the same [`Zipf`].
+#[derive(Debug, Clone, Default)]
+pub struct RankBatch {
+    /// Draws in push order.
+    us: Vec<f64>,
+    /// Per-bucket draw counts of the pending block; slot cursors while
+    /// resolving. All zero once a block is resolved.
+    starts: Vec<u32>,
+    /// The pending draws regrouped by bucket: `(u, push position)`.
+    sorted: Vec<(f64, u32)>,
+}
+
+impl RankBatch {
+    /// Adds one draw `u` in `[0, 1)` to the pending block.
+    #[inline]
+    pub fn push(&mut self, zipf: &Zipf, u: f64) {
+        if self.starts.len() < zipf.guide.len() {
+            self.starts.resize(zipf.guide.len(), 0);
+        }
+        self.starts[zipf.bucket_of(u)] += 1;
+        self.us.push(u);
+    }
+
+    /// Resolves the pending block: calls `emit(i, zipf.rank_of(u_i))`
+    /// once for the `i`-th pushed draw `u_i`, in ascending guide-bucket
+    /// order, then empties the batch.
+    ///
+    /// # Panics
+    /// Panics if the block holds more than `u32::MAX` draws.
+    pub fn resolve(&mut self, zipf: &Zipf, mut emit: impl FnMut(usize, u32)) {
+        assert!(
+            u32::try_from(self.us.len()).is_ok(),
+            "a RankBatch block holds at most u32::MAX draws"
+        );
+        let mut next = 0u32;
+        for c in &mut self.starts {
+            let count = *c;
+            *c = next;
+            next += count;
+        }
+        self.sorted.clear();
+        self.sorted.resize(self.us.len(), (0.0, 0));
+        for (i, &u) in self.us.iter().enumerate() {
+            let slot = &mut self.starts[zipf.bucket_of(u)];
+            self.sorted[*slot as usize] = (u, i as u32);
+            *slot += 1;
+        }
+        for &(u, i) in &self.sorted {
+            emit(i as usize, zipf.rank_of(u) as u32);
+        }
+        self.starts.fill(0);
+        self.us.clear();
     }
 }
 
@@ -557,6 +662,51 @@ mod tests {
                 assert_eq!(z.rank_of(u), direct.min(n));
             }
             assert_eq!(z.rank_of(0.0), 1);
+        }
+    }
+
+    #[test]
+    fn batch_ranks_match_scalar_lookups() {
+        // One batch serves every shape below, so each block also runs on
+        // scratch left behind by larger and smaller guide tables.
+        let mut batch = RankBatch::default();
+        for n in [1, 15, 16, 1000, 65_535, 65_536, 480_000] {
+            for s in [0.0, 0.65, 1.05] {
+                let z = Zipf::new(n, s).unwrap();
+                // Adversarial draws first: 0, exact CDF values and the
+                // next f64 below each, and the largest draw below 1.
+                let mut us = vec![0.0, 1.0 - f64::EPSILON / 2.0];
+                let step = (n / 512).max(1);
+                for k in (0..n).filter(|&k| k < 64 || k + 64 >= n || k % step == 0) {
+                    let c = z.cdf[k];
+                    if c < 1.0 {
+                        us.push(c);
+                    }
+                    us.push(f64::from_bits(c.to_bits() - 1));
+                }
+                let mut rng = SimRng::seed_from(0xBA7C4 ^ n as u64);
+                us.truncate(1 << 16);
+                while us.len() < 1 << 16 {
+                    us.push(rng.uniform());
+                }
+                // Block lengths: empty, one draw, an odd tail, a full
+                // trace chunk.
+                for len in [0, 1, 777, 1 << 16] {
+                    let block = &us[..len];
+                    let mut ranks = vec![0u32; len];
+                    z.ranks_of(block, &mut ranks);
+                    let mut reused = vec![0u32; len];
+                    for &u in block {
+                        batch.push(&z, u);
+                    }
+                    batch.resolve(&z, |i, r| reused[i] = r);
+                    for (i, &u) in block.iter().enumerate() {
+                        let want = z.rank_of(u) as u32;
+                        assert_eq!(ranks[i], want, "n={n} s={s} len={len} u={u:e}");
+                        assert_eq!(reused[i], want, "reused: n={n} s={s} len={len} u={u:e}");
+                    }
+                }
+            }
         }
     }
 

@@ -170,21 +170,48 @@ impl ThreadPool {
         R: Send,
         F: Fn(usize, &T) -> R + Sync,
     {
+        self.par_map_with(items, || (), |_, i, t| f(i, t))
+    }
+
+    /// [`par_map`](Self::par_map) with per-worker scratch: each worker
+    /// builds one `S` with `init` and hands it to every task it runs, so
+    /// buffers are allocated once per worker instead of once per task.
+    /// Tasks must leave no trace of themselves in the scratch that could
+    /// change a later task's result; then the output is bit-identical for
+    /// every thread count, exactly as for `par_map`.
+    ///
+    /// # Panics
+    /// Propagates the first worker panic after all threads join.
+    pub fn par_map_with<T, S, R, I, F>(&self, items: &[T], init: I, f: F) -> Vec<R>
+    where
+        T: Sync,
+        R: Send,
+        I: Fn() -> S + Sync,
+        F: Fn(&mut S, usize, &T) -> R + Sync,
+    {
         let workers = self.threads.min(items.len());
         if workers <= 1 {
-            return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
+            let mut scratch = init();
+            return items
+                .iter()
+                .enumerate()
+                .map(|(i, t)| f(&mut scratch, i, t))
+                .collect();
         }
         let next = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
         std::thread::scope(|scope| {
             for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= items.len() {
-                        break;
+                scope.spawn(|| {
+                    let mut scratch = init();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= items.len() {
+                            break;
+                        }
+                        let r = f(&mut scratch, i, &items[i]);
+                        *lock_recover(&slots[i]) = Some(r);
                     }
-                    let r = f(i, &items[i]);
-                    *lock_recover(&slots[i]) = Some(r);
                 });
             }
         });
@@ -476,6 +503,27 @@ mod tests {
         for threads in [2, 4, 8] {
             let got = ThreadPool::new(threads).unwrap().par_map(&seeds, f);
             assert_eq!(reference, got, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn par_map_with_reuses_one_scratch_per_worker() {
+        let items: Vec<u64> = (0..100).collect();
+        for threads in [1, 2, 8] {
+            let pool = ThreadPool::new(threads).unwrap();
+            let inits = AtomicUsize::new(0);
+            let init = || {
+                inits.fetch_add(1, Ordering::Relaxed);
+                Vec::new()
+            };
+            let out = pool.par_map_with(&items, init, |buf: &mut Vec<u64>, i, &x| {
+                buf.clear();
+                buf.extend(0..=x);
+                (i as u64, buf.iter().sum::<u64>())
+            });
+            let want: Vec<(u64, u64)> = items.iter().map(|&x| (x, x * (x + 1) / 2)).collect();
+            assert_eq!(out, want, "threads={threads}");
+            assert_eq!(inits.load(Ordering::Relaxed), threads, "threads={threads}");
         }
     }
 

@@ -14,7 +14,7 @@
 //! `accesses_per_cpu_sec` is calibrated per workload so the resulting
 //! slowdown matches the published table at the paper's PCIe latency.
 
-use wcs_simcore::dist::Zipf;
+use wcs_simcore::dist::{RankBatch, Zipf};
 use wcs_simcore::memo::{MemoHash, MemoKey};
 use wcs_simcore::{SimRng, ThreadPool};
 
@@ -121,6 +121,10 @@ pub fn params_for(id: WorkloadId) -> MemTraceParams {
 
 /// A deterministic generator of [`PageAccess`]es for one workload.
 ///
+/// Accesses are produced a [`GEN_CHUNK`] at a time through the same
+/// chunk kernel [`MemTraceBuf::generate_par`] runs, then handed out one
+/// by one.
+///
 /// # Example
 /// ```
 /// use wcs_workloads::{memtrace, WorkloadId};
@@ -132,26 +136,29 @@ pub fn params_for(id: WorkloadId) -> MemTraceParams {
 pub struct MemTraceGen {
     params: MemTraceParams,
     zipf: Zipf,
-    rng: SimRng,
     seed: u64,
     pos: u64,
+    batch: RankBatch,
+    /// The current chunk: packed pages plus its write bitset.
+    pages: Vec<u32>,
+    writes: Vec<u64>,
 }
 
 impl MemTraceGen {
     /// Creates a generator.
     ///
     /// # Panics
-    /// Panics if the parameters are invalid.
+    /// Panics if the parameters are invalid or the footprint does not
+    /// fit the compact `u32` page representation.
     pub fn new(params: MemTraceParams, seed: u64) -> Self {
-        params.validate();
-        let zipf = Zipf::new(params.footprint_pages as usize, params.zipf_s)
-            .expect("validated parameters");
         MemTraceGen {
             params,
-            zipf,
-            rng: SimRng::stream(seed, 0),
+            zipf: trace_zipf(&params),
             seed,
             pos: 0,
+            batch: RankBatch::default(),
+            pages: vec![0; GEN_CHUNK],
+            writes: vec![0; GEN_CHUNK / 64],
         }
     }
 
@@ -162,17 +169,30 @@ impl MemTraceGen {
 
     /// Draws the next page touch.
     ///
-    /// The generator reseeds from `SimRng::stream(seed, chunk)` at every
-    /// [`GEN_CHUNK`] boundary so the sequential stream matches what
-    /// independent per-chunk generation produces (see
+    /// Chunk `i` is drawn from `SimRng::stream(seed, i)` when the
+    /// generator reaches access `i * GEN_CHUNK`, so the sequential stream
+    /// matches what independent per-chunk generation produces (see
     /// [`MemTraceBuf::generate_par`]).
     #[inline]
     pub fn next_access(&mut self) -> PageAccess {
-        if self.pos != 0 && self.pos.is_multiple_of(GEN_CHUNK as u64) {
-            self.rng = SimRng::stream(self.seed, self.pos / GEN_CHUNK as u64);
+        let k = (self.pos % GEN_CHUNK as u64) as usize;
+        if k == 0 {
+            let mut rng = SimRng::stream(self.seed, self.pos / GEN_CHUNK as u64);
+            self.writes.fill(0);
+            draw_chunk(
+                &self.zipf,
+                &self.params,
+                &mut rng,
+                &mut self.batch,
+                &mut self.pages,
+                &mut self.writes,
+            );
         }
         self.pos += 1;
-        chunk_access(&self.zipf, &mut self.rng, &self.params)
+        PageAccess {
+            page: u64::from(self.pages[k]),
+            write: (self.writes[k >> 6] >> (k & 63)) & 1 == 1,
+        }
     }
 
     /// Generates `n` accesses as a vector.
@@ -181,21 +201,47 @@ impl MemTraceGen {
     }
 }
 
-/// One draw of the shared access recipe: Zipf rank, rank-scramble, write
-/// coin. Factored out so the sequential generator and the per-chunk
-/// parallel materializer execute the identical sampling code.
+/// Validates `params` and builds the page-popularity distribution.
+fn trace_zipf(params: &MemTraceParams) -> Zipf {
+    params.validate();
+    assert!(
+        params.footprint_pages <= u64::from(u32::MAX),
+        "footprint too large for compact trace pages"
+    );
+    Zipf::new(params.footprint_pages as usize, params.zipf_s).expect("validated parameters")
+}
+
+/// Scrambles a Zipf rank into a page number so popular pages are
+/// scattered across the address space (multiplicative hashing, full
+/// period because the multiplier is odd).
 #[inline]
-fn chunk_access(zipf: &Zipf, rng: &mut SimRng, params: &MemTraceParams) -> PageAccess {
-    let rank = zipf.sample_rank(rng) as u64;
-    // Scramble ranks into page numbers so popular pages are scattered
-    // across the address space (multiplicative hashing, full period
-    // because the multiplier is odd).
-    let page = rank
+fn page_of(rank: u32, footprint_pages: u64) -> u32 {
+    (u64::from(rank)
         .wrapping_mul(0x9E37_79B9_7F4A_7C15)
         .wrapping_add(0x2545_F491_4F6C_DD1D)
-        % params.footprint_pages;
-    let write = rng.chance(params.write_fraction);
-    PageAccess { page, write }
+        % footprint_pages) as u32
+}
+
+/// Draws one chunk of accesses from `rng` into `pages` and the
+/// zero-initialized bitset `writes`. Each access consumes a Zipf uniform
+/// then a write coin, in access order; the ranks are then resolved as a
+/// block in guide-bucket order (see [`RankBatch`]), which reads the
+/// Zipf tables front to back instead of missing cache on every draw.
+fn draw_chunk(
+    zipf: &Zipf,
+    params: &MemTraceParams,
+    rng: &mut SimRng,
+    batch: &mut RankBatch,
+    pages: &mut [u32],
+    writes: &mut [u64],
+) {
+    for i in 0..pages.len() {
+        batch.push(zipf, rng.uniform());
+        writes[i >> 6] |= u64::from(rng.chance(params.write_fraction)) << (i & 63);
+    }
+    batch.resolve(zipf, |i, rank| {
+        pages[i] = page_of(rank, params.footprint_pages);
+    });
 }
 
 /// A materialized memory trace in compact, shareable form.
@@ -240,29 +286,16 @@ impl MemTraceBuf {
     /// Panics if the parameters are invalid or the footprint does not
     /// fit the compact `u32` page representation.
     pub fn generate_par(params: MemTraceParams, seed: u64, n: usize, pool: &ThreadPool) -> Self {
-        params.validate();
-        assert!(
-            params.footprint_pages <= u64::from(u32::MAX),
-            "footprint too large for compact trace pages"
-        );
-        let zipf = Zipf::new(params.footprint_pages as usize, params.zipf_s)
-            .expect("validated parameters");
+        let zipf = trace_zipf(&params);
         let chunks: Vec<usize> = (0..n.div_ceil(GEN_CHUNK)).collect();
-        let parts = pool.par_map(&chunks, |_, &chunk| {
-            let start = chunk * GEN_CHUNK;
-            let len = (n - start).min(GEN_CHUNK);
-            let mut rng = SimRng::stream(seed, chunk as u64);
-            let mut pages = Vec::with_capacity(len);
+        let parts = pool.par_map_with(&chunks, RankBatch::default, |batch, _, &chunk| {
+            let len = (n - chunk * GEN_CHUNK).min(GEN_CHUNK);
+            let mut pages = vec![0u32; len];
             // GEN_CHUNK is a multiple of 64, so every chunk owns whole
             // words of the write bitset and concatenation is exact.
             let mut writes = vec![0u64; len.div_ceil(64)];
-            for i in 0..len {
-                let a = chunk_access(&zipf, &mut rng, &params);
-                pages.push(a.page as u32);
-                if a.write {
-                    writes[i >> 6] |= 1u64 << (i & 63);
-                }
-            }
+            let mut rng = SimRng::stream(seed, chunk as u64);
+            draw_chunk(&zipf, &params, &mut rng, batch, &mut pages, &mut writes);
             (pages, writes)
         });
         let mut pages = Vec::with_capacity(n);
@@ -329,6 +362,16 @@ impl MemTraceBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The per-draw reference recipe: Zipf rank by scalar lookup,
+    /// rank-scramble, write coin. The batch kernel must reproduce it
+    /// access for access.
+    fn chunk_access(zipf: &Zipf, rng: &mut SimRng, params: &MemTraceParams) -> PageAccess {
+        let rank = zipf.sample_rank(rng) as u32;
+        let page = u64::from(page_of(rank, params.footprint_pages));
+        let write = rng.chance(params.write_fraction);
+        PageAccess { page, write }
+    }
 
     #[test]
     fn pages_stay_in_footprint() {
@@ -458,5 +501,46 @@ mod tests {
             accesses_per_cpu_sec: 1.0,
         }
         .validate();
+    }
+
+    /// FNV-1a 64 over each access's page (`u32`, little-endian) followed
+    /// by its write bit (one byte).
+    fn trace_fnv64(buf: &MemTraceBuf) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for i in 0..buf.len() {
+            let a = buf.get(i);
+            for b in (a.page as u32)
+                .to_le_bytes()
+                .into_iter()
+                .chain([u8::from(a.write)])
+            {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn golden_trace_pins() {
+        // Digests of the five paper traces, recorded from the per-draw
+        // generator before chunks were resolved in guide-bucket order.
+        // The length spans four chunk boundaries plus a partial tail.
+        const PINS: [(WorkloadId, u64); 5] = [
+            (WorkloadId::Websearch, 0x4db5_8cc7_8821_51ce),
+            (WorkloadId::Webmail, 0xf090_17f5_8ce5_c9c7),
+            (WorkloadId::Ytube, 0x742e_be14_b317_51d2),
+            (WorkloadId::MapredWc, 0x860f_d7cd_37b1_e110),
+            (WorkloadId::MapredWr, 0xc963_4a67_7cff_a564),
+        ];
+        let n = 4 * GEN_CHUNK + 1234;
+        for threads in [1, 2] {
+            let pool = wcs_simcore::ThreadPool::new(threads).unwrap();
+            for (id, want) in PINS {
+                let buf = MemTraceBuf::generate_par(params_for(id), 0xB1ADE ^ 0xD15C, n, &pool);
+                let got = trace_fnv64(&buf);
+                assert_eq!(got, want, "{id:?} at {threads} threads: {got:#018x}");
+            }
+        }
     }
 }

@@ -214,7 +214,7 @@ impl Evaluator {
     ///
     /// Parallelism is applied across designs first; threads left over
     /// when the pool is wider than the design list are applied *within*
-    /// each design (see [`intra_cell_pool`](Self::intra_cell_pool)).
+    /// each design.
     ///
     /// # Errors
     /// Returns the first (lowest-index) design's [`MeasureError`], exactly

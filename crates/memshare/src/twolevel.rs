@@ -224,7 +224,7 @@ impl TwoLevelSim {
     /// [`run_buf`](Self::run_buf) with lane staging fanned out over
     /// `pool`.
     ///
-    /// The range splits into deterministic [`PAR_RANGE`]-sized chunk
+    /// The range splits into deterministic `PAR_RANGE`-sized chunk
     /// ranges whose SoA lanes (packed pages + write bytes) decode in
     /// parallel — pure per-range work with no simulator state. The
     /// cache then consumes the staged lanes strictly in chunk order:

@@ -2,12 +2,11 @@
 //! the makespan (for the `mapreduce` benchmarks, whose metric is
 //! execution time rather than throughput).
 
-use std::collections::VecDeque;
-
 use wcs_simcore::event::QueueObs;
 use wcs_simcore::{EventQueue, SimDuration, SimTime};
 
 use crate::engine::ServerSpec;
+use crate::kernel::{utilization, Stations};
 use crate::request::{Resource, Stage};
 
 /// Result of a batch run.
@@ -69,112 +68,75 @@ pub fn run_batch(spec: ServerSpec, tasks: Vec<Vec<Stage>>, concurrency: u32) -> 
         .collect();
 
     let mut events: EventQueue<StageDone> = EventQueue::new();
-    let mut queues: [VecDeque<usize>; 4] = Default::default();
-    let mut busy = [0u32; 4];
-    let mut busy_time_ns = [0u128; 4];
+    let mut stations = Stations::new(&spec);
     let mut next_admit = 0usize;
-    let mut done = 0usize;
+    let mut inflight = 0u32;
 
-    let servers_at = |r: Resource| -> u32 {
-        match r {
-            Resource::Cpu => spec.cores,
-            Resource::Memory => spec.memory_channels,
-            Resource::Disk => spec.disks,
-            Resource::Net => spec.nics,
-        }
-    };
-
-    // Enqueue a task's current stage; returns false when the task has no
+    // Queues a task's current stage; returns false when the task has no
     // stages left (it is complete).
-    fn enqueue(tasks: &[Task], queues: &mut [VecDeque<usize>; 4], id: usize) -> bool {
+    fn enqueue(tasks: &[Task], stations: &mut Stations, id: usize) -> bool {
         let t = &tasks[id];
-        if t.next_stage >= t.stages.len() {
+        let Some(stage) = t.stages.get(t.next_stage) else {
             return false;
-        }
-        let r = t.stages[t.next_stage].resource;
-        queues[r.index()].push_back(id);
+        };
+        stations.push(stage.resource, id);
         true
     }
 
-    macro_rules! try_start {
-        ($res:expr, $now:expr) => {{
-            let ri = $res.index();
-            while busy[ri] < servers_at($res) {
-                let Some(id) = queues[ri].pop_front() else {
-                    break;
-                };
-                busy[ri] += 1;
-                let service = tasks[id].stages[tasks[id].next_stage].service;
-                busy_time_ns[ri] += service.as_nanos() as u128;
-                events.schedule(
-                    $now + service,
-                    StageDone {
-                        task: id,
-                        resource: $res,
-                    },
-                );
+    // Admits waiting tasks in order while a task slot is free (empty
+    // tasks complete on admission).
+    let mut admit = |stations: &mut Stations, tasks: &[Task], inflight: &mut u32| {
+        while next_admit < n_tasks && *inflight < concurrency {
+            if enqueue(tasks, stations, next_admit) {
+                *inflight += 1;
             }
-        }};
-    }
-
-    // Admit the initial window of tasks (empty tasks complete at t=0).
-    let mut inflight = 0u32;
-    while next_admit < n_tasks && inflight < concurrency {
-        if enqueue(&tasks, &mut queues, next_admit) {
-            inflight += 1;
-        } else {
-            done += 1;
+            next_admit += 1;
         }
-        next_admit += 1;
-    }
-    for r in Resource::ALL {
-        try_start!(r, SimTime::ZERO);
-    }
+    };
+
+    // Batch starts every station after every event, not only the ones
+    // the event touched.
+    let start_all = |stations: &mut Stations, tasks: &[Task], events: &mut EventQueue<_>| {
+        let now = events.now();
+        for resource in Resource::ALL {
+            stations.start(resource, |task| {
+                let service = tasks[task].stages[tasks[task].next_stage].service;
+                events.schedule(now + service, StageDone { task, resource });
+                service
+            });
+        }
+    };
+
+    // The initial window is admitted before any station starts.
+    admit(&mut stations, &tasks, &mut inflight);
+    start_all(&mut stations, &tasks, &mut events);
 
     // Batched epoch delivery: identical-service task batches make this
     // engine epoch-dense, so draining each instant as one slice replaces
     // a lane comparison per event with one per epoch. Each event is
-    // still processed (and `try_start` run) in exact pop order, so the
-    // schedule-call sequence — and with it every seq tie-break — is
+    // still processed (and every station started) in exact pop order, so
+    // the schedule-call sequence — and with it every seq tie-break — is
     // bit-identical to the one-at-a-time loop.
     let mut epoch: Vec<StageDone> = Vec::new();
-    while let Some(now) = events.pop_epoch(&mut epoch) {
+    while events.pop_epoch(&mut epoch).is_some() {
         for ev in epoch.drain(..) {
-            busy[ev.resource.index()] -= 1;
+            stations.release(ev.resource);
             tasks[ev.task].next_stage += 1;
-            if !enqueue(&tasks, &mut queues, ev.task) {
-                done += 1;
+            if !enqueue(&tasks, &mut stations, ev.task) {
                 inflight -= 1;
-                // Admit the next waiting task(s).
-                while next_admit < n_tasks && inflight < concurrency {
-                    if enqueue(&tasks, &mut queues, next_admit) {
-                        inflight += 1;
-                    } else {
-                        done += 1;
-                    }
-                    next_admit += 1;
-                }
+                admit(&mut stations, &tasks, &mut inflight);
             }
-            for r in Resource::ALL {
-                try_start!(r, now);
-            }
+            start_all(&mut stations, &tasks, &mut events);
         }
     }
-    debug_assert_eq!(done, n_tasks);
+    debug_assert!(next_admit == n_tasks && inflight == 0);
+    debug_assert!(tasks.iter().all(|t| t.next_stage == t.stages.len()));
 
     let makespan = events.now().saturating_sub(SimTime::ZERO);
-    let span_ns = makespan.as_nanos() as f64;
-    let mut utilization = [0.0; 4];
-    if span_ns > 0.0 {
-        for r in Resource::ALL {
-            utilization[r.index()] =
-                busy_time_ns[r.index()] as f64 / (span_ns * servers_at(r) as f64);
-        }
-    }
     BatchResult {
         makespan,
         tasks: n_tasks,
-        utilization,
+        utilization: utilization(std::slice::from_ref(&stations), events.now()),
         queue: events.obs_stats(),
     }
 }

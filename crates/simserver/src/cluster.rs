@@ -20,13 +20,13 @@
 
 use std::collections::VecDeque;
 
-use wcs_simcore::stats::Histogram;
 #[cfg(test)]
 use wcs_simcore::SimDuration;
 use wcs_simcore::{ConfigError, EventQueue, SimRng, SimTime};
 
 use crate::engine::{RunStats, ServerSpec};
-use crate::failover::{ClusterFaults, FaultStats, RetryPolicy};
+use crate::failover::{check_windows, ClusterFaults, RetryPolicy};
+use crate::kernel::{may_retry, utilization, Attempt, Slots, StageSpan, Stations, Window};
 use crate::request::{RequestSource, Resource, Stage};
 use crate::resilience::{CircuitBreaker, ResilienceConfig, ResilienceStats, RetryBudget};
 
@@ -56,47 +56,11 @@ pub struct Cluster {
     pub scaleout_overhead: f64,
 }
 
-/// A `Copy` handle to one request's stage list in the run-local stage
-/// pool (a `Vec<Stage>` every request appends to).
-///
-/// A timeout or crash hands the *same* stage list to the retry event by
-/// copying 8 bytes — no refcount traffic, no re-allocating a `Vec` per
-/// attempt. Retries and zombie drains are the fault path's hottest
-/// allocation site.
-#[derive(Clone, Copy)]
-struct StageSpan {
-    start: u32,
-    len: u32,
-}
-
-impl StageSpan {
-    /// Appends `stages` to `pool` and returns their handle.
-    fn push(pool: &mut Vec<Stage>, stages: &[Stage]) -> StageSpan {
-        let start = pool.len();
-        pool.extend_from_slice(stages);
-        let to_u32 = |n: usize| u32::try_from(n).expect("stage pool overflowed u32 indexing");
-        StageSpan {
-            start: to_u32(start),
-            len: to_u32(stages.len()),
-        }
-    }
-
-    /// The stages this handle spans (bounds-checked).
-    fn of(self, pool: &[Stage]) -> &[Stage] {
-        &pool[self.start as usize..][..self.len as usize]
-    }
-}
-
-/// One physical attempt at a logical request.
-struct Attempt {
-    stages: StageSpan,
+/// An attempt dispatched to a server.
+struct Flight {
+    attempt: Attempt,
     next_stage: usize,
-    /// First dispatch instant of the *logical* request, so latency spans
-    /// retries.
-    logical_started: SimTime,
     server: usize,
-    /// 0-based attempt index (0 = first try).
-    attempt_no: u32,
     /// The client gave up on this attempt (timeout); the work keeps
     /// draining on the server but no longer counts.
     abandoned: bool,
@@ -120,11 +84,7 @@ enum CEv {
     /// A server finishes repair.
     Up { server: usize },
     /// A backed-off retry re-enters the dispatcher.
-    Retry {
-        stages: StageSpan,
-        logical_started: SimTime,
-        attempt_no: u32,
-    },
+    Retry(Attempt),
 }
 
 impl Cluster {
@@ -200,8 +160,10 @@ impl Cluster {
     /// panicking.
     ///
     /// # Errors
-    /// Rejects zero `n_clients` or `measured`, and a fault plan that
-    /// names more servers than the cluster has.
+    /// Rejects zero `n_clients` or `measured`, a fault plan that names
+    /// more servers than the cluster has, and, as
+    /// [`ConfigError::OutOfRange`], a server whose outage windows are
+    /// not ordered and disjoint (`down_at <= up_at <= next.down_at`).
     #[allow(clippy::too_many_arguments)]
     pub fn run_closed_loop_faulted(
         &self,
@@ -245,7 +207,7 @@ impl Cluster {
     /// [`run_closed_loop_faulted`](Self::run_closed_loop_faulted): no
     /// extra RNG draws, no event-schedule changes. [`ResilienceStats`]
     /// counters cover the whole run (warmup included), unlike
-    /// [`FaultStats`], which covers the measurement window.
+    /// [`FaultStats`](crate::FaultStats), which covers the measurement window.
     ///
     /// # Errors
     /// As [`run_closed_loop_faulted`](Self::run_closed_loop_faulted).
@@ -275,8 +237,10 @@ impl Cluster {
                 available: self.servers as u64,
             });
         }
+        for server in 0..faults.planned_servers() {
+            check_windows(faults.windows_for(server))?;
+        }
         let s = self.servers as usize;
-        let n_res = Resource::ALL.len();
         let mut rng = SimRng::seed_from(seed);
         let mut dispatch_rng = rng.fork(99);
 
@@ -309,90 +273,47 @@ impl Cluster {
         // the end — one append per request instead of one `Rc`
         // allocation plus refcount churn on every retry and zombie.
         let mut stage_pool: Vec<Stage> = Vec::with_capacity(n_clients as usize * 8);
-        let mut inflight: Vec<Attempt> = Vec::new();
-        let mut slot_gen: Vec<u64> = Vec::new();
-        let mut active: Vec<bool> = Vec::new();
-        let mut free: Vec<usize> = Vec::new();
-        // queues[server][resource]
-        let mut queues: Vec<Vec<VecDeque<usize>>> = vec![vec![Default::default(); n_res]; s];
-        let mut busy: Vec<[u32; 4]> = vec![[0; 4]; s];
-        let mut busy_ns: Vec<[u128; 4]> = vec![[0; 4]; s];
+        let mut inflight: Slots<Flight> = Slots::new();
+        let mut stations: Vec<Stations> = (0..s).map(|_| Stations::new(&self.spec)).collect();
         let mut in_flight_per_server: Vec<u32> = vec![0; s];
         let mut up: Vec<bool> = vec![true; s];
-        let mut parked: VecDeque<(StageSpan, SimTime, u32)> = VecDeque::new();
+        let mut parked: VecDeque<Attempt> = VecDeque::new();
         let mut rr_next = 0usize;
 
-        // Pre-schedule the whole outage plan; zero windows => zero events.
-        // A window that cannot be scheduled (its instant precedes the
-        // clock — impossible for generated plans, reachable through a
-        // hand-built one) degrades the run: the window is skipped and
-        // counted in `FaultStats::plan_skipped` instead of panicking the
-        // whole sweep cell. Skipping both edges together keeps the
-        // up/down bookkeeping balanced.
-        let mut plan_skipped_n = 0u64;
+        // Pre-schedule the whole outage plan; zero windows => zero
+        // events. The plan is checked ordered and disjoint above, and
+        // the clock still reads zero, so every edge schedules.
         for server in 0..s {
             for w in faults.windows_for(server) {
-                if events
-                    .try_schedule(w.down_at, CEv::Down { server })
-                    .is_err()
-                {
-                    plan_skipped_n += 1;
-                    continue;
-                }
-                if events.try_schedule(w.up_at, CEv::Up { server }).is_err() {
-                    // Down landed but Up cannot: bring the server back at
-                    // the earliest schedulable instant rather than losing
-                    // it for the rest of the run.
-                    plan_skipped_n += 1;
-                    events.schedule(events.now(), CEv::Up { server });
-                }
+                events.schedule(w.down_at, CEv::Down { server });
+                events.schedule(w.up_at, CEv::Up { server });
             }
         }
 
-        let servers_at = |r: Resource, spec: &ServerSpec| -> u32 {
-            match r {
-                Resource::Cpu => spec.cores,
-                Resource::Memory => spec.memory_channels,
-                Resource::Disk => spec.disks,
-                Resource::Net => spec.nics,
-            }
-        };
-
         let inflation = self.inflation();
         let target = warmup + measured;
-        let mut completed = 0u64;
-        let mut completed_measured = 0u64;
-        let mut timeouts_n = 0u64;
-        let mut retries_n = 0u64;
-        let mut dropped_n = 0u64;
+        let mut window = Window::new(warmup);
         // Drops over the whole run (never reset): drops count toward the
         // termination target so a run where faults starve completions
         // still ends instead of generating retry work forever.
         let mut dropped_total = 0u64;
-        let mut latency = Histogram::new();
-        let mut measure_start = SimTime::ZERO;
 
         macro_rules! try_start {
             ($srv:expr, $res:expr, $now:expr) => {{
-                let ri = $res.index();
-                while busy[$srv][ri] < servers_at($res, &self.spec) {
-                    let Some(req) = queues[$srv][ri].pop_front() else {
-                        break;
+                let (server, resource, now) = ($srv, $res, $now);
+                stations[server].start(resource, |slot| {
+                    let f = &inflight[slot];
+                    let svc = f.attempt.stages.of(&stage_pool)[f.next_stage].service;
+                    let gen = inflight.gen(slot);
+                    let done = CEv::Done {
+                        slot,
+                        gen,
+                        server,
+                        resource,
                     };
-                    busy[$srv][ri] += 1;
-                    let svc =
-                        inflight[req].stages.of(&stage_pool)[inflight[req].next_stage].service;
-                    busy_ns[$srv][ri] += svc.as_nanos() as u128;
-                    events.schedule(
-                        $now + svc,
-                        CEv::Done {
-                            slot: req,
-                            gen: slot_gen[req],
-                            server: $srv,
-                            resource: $res,
-                        },
-                    );
-                }
+                    events.schedule(now + svc, done);
+                    svc
+                });
             }};
         }
 
@@ -469,62 +390,25 @@ impl Cluster {
             }};
         }
 
-        macro_rules! complete {
-            ($started:expr, $now:expr) => {{
-                completed += 1;
-                if completed == warmup {
-                    measure_start = $now;
-                    latency = Histogram::new();
-                    timeouts_n = 0;
-                    retries_n = 0;
-                    dropped_n = 0;
-                }
-                if completed > warmup {
-                    completed_measured += 1;
-                }
-                latency.record_duration($now.saturating_sub($started));
-            }};
-        }
-
         macro_rules! enqueue {
-            ($stages:expr, $logical_started:expr, $attempt_no:expr, $now:expr) => {{
-                let stages: StageSpan = $stages;
+            ($attempt:expr, $now:expr) => {{
+                let attempt: Attempt = $attempt;
                 match pick_server!($now) {
-                    None => parked.push_back((stages, $logical_started, $attempt_no)),
+                    None => parked.push_back(attempt),
                     Some(server) => {
                         in_flight_per_server[server] += 1;
-                        let first = stages.of(&stage_pool)[0].resource;
-                        let attempt = Attempt {
-                            stages,
+                        let first = attempt.stages.of(&stage_pool)[0].resource;
+                        let slot = inflight.insert(Flight {
+                            attempt,
                             next_stage: 0,
-                            logical_started: $logical_started,
                             server,
-                            attempt_no: $attempt_no,
                             abandoned: false,
-                        };
-                        let slot = match free.pop() {
-                            Some(x) => {
-                                inflight[x] = attempt;
-                                active[x] = true;
-                                x
-                            }
-                            None => {
-                                inflight.push(attempt);
-                                slot_gen.push(0);
-                                active.push(true);
-                                inflight.len() - 1
-                            }
-                        };
+                        });
                         if let Some(t) = retry.timeout {
-                            events.schedule(
-                                $now + t,
-                                CEv::Timeout {
-                                    slot,
-                                    gen: slot_gen[slot],
-                                },
-                            );
+                            let gen = inflight.gen(slot);
+                            events.schedule($now + t, CEv::Timeout { slot, gen });
                         }
-                        queues[server][first.index()].push_back(slot);
+                        stations[server].push(first, slot);
                         try_start!(server, first, $now);
                     }
                 }
@@ -533,7 +417,7 @@ impl Cluster {
 
         macro_rules! launch {
             ($now:expr) => {{
-                'gen: while completed + dropped_total < target {
+                'gen: while window.completed + dropped_total < target {
                     let mut stages = source.next_request(&mut rng);
                     if let Some(b) = &mut budget {
                         b.on_request();
@@ -541,13 +425,14 @@ impl Cluster {
                         res_stats.admitted += 1;
                     }
                     if stages.is_empty() {
-                        complete!($now, $now);
+                        window.complete($now, $now);
                         continue 'gen;
                     }
                     for st in &mut stages {
                         *st = Stage::new(st.resource, st.service * inflation);
                     }
-                    enqueue!(StageSpan::push(&mut stage_pool, &stages), $now, 0u32, $now);
+                    let span = StageSpan::push(&mut stage_pool, &stages);
+                    enqueue!(Attempt::first(span, $now), $now);
                     break 'gen;
                 }
             }};
@@ -557,25 +442,14 @@ impl Cluster {
         // backoff while the per-request attempt budget AND the global
         // retry budget both allow it, else drop and free the client.
         macro_rules! fail_attempt {
-            ($stages:expr, $logical_started:expr, $attempt_no:expr, $now:expr) => {{
-                if $attempt_no < retry.max_retries
-                    && match &mut budget {
-                        None => true,
-                        Some(b) => b.try_spend(),
-                    }
-                {
-                    retries_n += 1;
-                    let delay = retry.backoff_for($attempt_no);
-                    events.schedule(
-                        $now + delay,
-                        CEv::Retry {
-                            stages: $stages,
-                            logical_started: $logical_started,
-                            attempt_no: $attempt_no + 1,
-                        },
-                    );
+            ($attempt:expr, $now:expr) => {{
+                let attempt: Attempt = $attempt;
+                if may_retry(retry, &mut budget, attempt.no) {
+                    window.faults.retries += 1;
+                    let delay = retry.backoff_for(attempt.no);
+                    events.schedule($now + delay, CEv::Retry(attempt.next()));
                 } else {
-                    dropped_n += 1;
+                    window.faults.dropped += 1;
                     dropped_total += 1;
                     launch!($now);
                 }
@@ -592,89 +466,70 @@ impl Cluster {
                     up[server] = false;
                     // Fail-fast: everything queued or running here dies.
                     let victims: Vec<usize> = (0..inflight.len())
-                        .filter(|&slot| active[slot] && inflight[slot].server == server)
+                        .filter(|&slot| inflight.is_live(slot) && inflight[slot].server == server)
                         .collect();
-                    for q in queues[server].iter_mut() {
-                        q.clear();
-                    }
-                    busy[server] = [0; 4];
+                    stations[server].clear();
                     in_flight_per_server[server] = 0;
                     for slot in victims {
-                        slot_gen[slot] += 1; // voids pending Done/Timeout
-                        active[slot] = false;
-                        free.push(slot);
+                        inflight.release(slot); // voids pending Done/Timeout
                         if let Some(bs) = &mut breakers {
                             breakers_touched = true;
                             bs[server].record_failure(now);
                         }
                         if !inflight[slot].abandoned {
-                            let stages = inflight[slot].stages;
-                            let ls = inflight[slot].logical_started;
-                            let an = inflight[slot].attempt_no;
-                            fail_attempt!(stages, ls, an, now);
+                            fail_attempt!(inflight[slot].attempt, now);
                         }
                     }
                 }
                 CEv::Up { server } => {
                     up[server] = true;
                     // Work parked while everything was down re-enters now.
-                    while let Some((stages, ls, an)) = parked.pop_front() {
-                        enqueue!(stages, ls, an, now);
+                    while let Some(attempt) = parked.pop_front() {
+                        enqueue!(attempt, now);
                     }
                 }
                 CEv::Timeout { slot, gen } => {
-                    if slot_gen[slot] != gen || !active[slot] || inflight[slot].abandoned {
+                    if inflight.gen(slot) != gen || inflight[slot].abandoned {
                         continue;
                     }
                     inflight[slot].abandoned = true;
-                    timeouts_n += 1;
+                    window.faults.timeouts += 1;
                     if let Some(bs) = &mut breakers {
                         breakers_touched = true;
                         bs[inflight[slot].server].record_failure(now);
                     }
                     // The zombie keeps draining on the server; the client
-                    // moves on sharing the same stage list (a 12-byte
-                    // handle copy, no allocation).
-                    let stages = inflight[slot].stages;
-                    let ls = inflight[slot].logical_started;
-                    let an = inflight[slot].attempt_no;
-                    fail_attempt!(stages, ls, an, now);
+                    // moves on sharing the same stage list (the `Attempt`
+                    // is copied, nothing is allocated).
+                    fail_attempt!(inflight[slot].attempt, now);
                 }
-                CEv::Retry {
-                    stages,
-                    logical_started,
-                    attempt_no,
-                } => {
-                    enqueue!(stages, logical_started, attempt_no, now);
-                }
+                CEv::Retry(attempt) => enqueue!(attempt, now),
                 CEv::Done {
                     slot,
                     gen,
                     server,
                     resource,
                 } => {
-                    if slot_gen[slot] != gen {
+                    if inflight.gen(slot) != gen {
                         continue; // voided by a crash
                     }
-                    busy[server][resource.index()] -= 1;
+                    stations[server].release(resource);
                     inflight[slot].next_stage += 1;
-                    if inflight[slot].next_stage >= inflight[slot].stages.len as usize {
+                    let f = &inflight[slot];
+                    if f.next_stage >= f.attempt.stages.len() {
+                        let (abandoned, started) = (f.abandoned, f.attempt.started);
                         in_flight_per_server[server] -= 1;
-                        slot_gen[slot] += 1; // voids a pending Timeout
-                        active[slot] = false;
-                        free.push(slot);
-                        if !inflight[slot].abandoned {
+                        inflight.release(slot); // voids a pending Timeout
+                        if !abandoned {
                             if let Some(bs) = &mut breakers {
                                 bs[server].record_success(now);
                             }
-                            let started = inflight[slot].logical_started;
-                            complete!(started, now);
+                            window.complete(started, now);
                             launch!(now);
                         }
                     } else {
-                        let r = inflight[slot].stages.of(&stage_pool)[inflight[slot].next_stage]
-                            .resource;
-                        queues[server][r.index()].push_back(slot);
+                        let r = f.attempt.stages.of(&stage_pool)[f.next_stage].resource;
+                        stations[server].push(r, slot);
                         try_start!(server, r, now);
                     }
                     try_start!(server, resource, now);
@@ -682,47 +537,18 @@ impl Cluster {
             }
             // Drops count toward the target: a fault-starved run ends
             // after the drop budget instead of looping forever.
-            if completed + dropped_total >= target {
+            if window.completed + dropped_total >= target {
                 break;
             }
         }
 
         let end = events.now();
-        let window = end.saturating_sub(measure_start);
-        let span = end.saturating_sub(SimTime::ZERO).as_nanos() as f64;
-        let mut utilization = [0.0; 4];
-        if span > 0.0 {
-            for r in Resource::ALL {
-                let total: u128 = busy_ns.iter().map(|b| b[r.index()]).sum();
-                let cap = span * (servers_at(r, &self.spec) as f64) * s as f64;
-                utilization[r.index()] = (total as f64 / cap).min(1.0);
-            }
-        }
-        if let Some(b) = &budget {
-            res_stats.retries_spent = b.spent();
-            res_stats.retries_denied = b.denied();
-        }
-        if let Some(bs) = &breakers {
-            res_stats.breaker_trips = bs.iter().map(CircuitBreaker::trips).sum();
-            res_stats.breaker_open_ns = bs.iter().map(|b| b.open_ns(end)).sum();
-        }
-        Ok((
-            RunStats {
-                completed: completed_measured,
-                window,
-                latency,
-                utilization,
-                faults: FaultStats {
-                    timeouts: timeouts_n,
-                    retries: retries_n,
-                    dropped: dropped_n,
-                    offered: completed_measured + dropped_n,
-                    plan_skipped: plan_skipped_n,
-                },
-                queue: events.obs_stats(),
-            },
-            res_stats,
-        ))
+        let breakers = breakers.as_deref().unwrap_or_default();
+        res_stats.finish(budget.as_ref(), breakers, end);
+        window.faults.offered = window.measured + window.faults.dropped;
+        let utilization = utilization(&stations, end);
+        let stats = window.stats(end, utilization, events.obs_stats());
+        Ok((stats, res_stats))
     }
 }
 
@@ -1095,6 +921,53 @@ mod fault_tests {
         assert_eq!(stats.completed, stats2.completed);
         assert_eq!(stats.window, stats2.window);
         assert_eq!(res, res2);
+    }
+
+    fn window(down_ms: u64, up_ms: u64) -> wcs_simcore::faults::DownWindow {
+        wcs_simcore::faults::DownWindow {
+            down_at: SimTime::ZERO + SimDuration::from_millis(down_ms),
+            up_at: SimTime::ZERO + SimDuration::from_millis(up_ms),
+        }
+    }
+
+    #[test]
+    fn malformed_outage_plans_are_rejected() {
+        let c = Cluster::ideal(ServerSpec::new(1), 2).unwrap();
+        let inverted = vec![window(300, 100)];
+        let overlapping = vec![window(100, 300), window(200, 400)];
+        for windows in [inverted, overlapping] {
+            let mut faults = ClusterFaults::fail_free();
+            faults.set_windows(1, windows);
+            let run = c.run_closed_loop_faulted(
+                &mut exp_cpu(500),
+                4,
+                50,
+                500,
+                3,
+                &faults,
+                &RetryPolicy::none(),
+            );
+            assert!(
+                matches!(run, Err(ConfigError::OutOfRange { .. })),
+                "{run:?}"
+            );
+        }
+        // Touching windows and zero-length outages are well formed.
+        let mut faults = ClusterFaults::fail_free();
+        faults.set_windows(
+            1,
+            vec![window(100, 100), window(100, 200), window(200, 300)],
+        );
+        let run = c.run_closed_loop_faulted(
+            &mut exp_cpu(500),
+            4,
+            50,
+            500,
+            3,
+            &faults,
+            &RetryPolicy::none(),
+        );
+        assert_eq!(run.unwrap().faults.plan_skipped, 0);
     }
 
     #[test]

@@ -1,13 +1,12 @@
 //! The discrete-event server engine.
 
-use std::collections::VecDeque;
-
 use wcs_simcore::event::QueueObs;
 use wcs_simcore::obs::Registry;
 use wcs_simcore::stats::Histogram;
 use wcs_simcore::{EventQueue, SimDuration, SimRng, SimTime};
 
 use crate::failover::FaultStats;
+use crate::kernel::{utilization, Slots, Stations, Window};
 use crate::request::{RequestSource, Resource, Stage};
 
 /// Capacity description of the simulated server: how many parallel servers
@@ -42,7 +41,8 @@ impl ServerSpec {
         }
     }
 
-    fn servers_at(&self, r: Resource) -> u32 {
+    /// Parallel servers at station `r`.
+    pub(crate) fn servers_at(&self, r: Resource) -> u32 {
         match r {
             Resource::Cpu => self.cores,
             Resource::Memory => self.memory_channels,
@@ -145,93 +145,96 @@ enum Ev {
     Launch,
 }
 
-struct StageDoneInfo {
-    req: usize,
-    resource: Resource,
+/// Watches a closed-loop run's requests visit stations. Every method
+/// defaults to a no-op, so the untraced run's `()` compiles away.
+pub(crate) trait Visits {
+    /// Request `slot` joined a station queue at `now`.
+    fn queued(&mut self, _slot: usize, _now: SimTime) {}
+    /// Request `slot` began `service` at `res` at `now`.
+    fn started(&mut self, _slot: usize, _res: Resource, _service: SimDuration, _now: SimTime) {}
+    /// A request that arrived at `arrived` completed at `now`; `slot` is
+    /// `None` for an empty request, which never held a slot.
+    fn completed(&mut self, _slot: Option<usize>, _arrived: SimTime, _now: SimTime) {}
 }
 
+impl Visits for () {}
+
 /// All mutable state of one run, so helper methods can borrow it cleanly.
-struct Run<'a> {
-    spec: ServerSpec,
+struct Run<'a, V> {
     source: &'a mut dyn RequestSource,
     rng: SimRng,
     events: EventQueue<Ev>,
-    inflight: Vec<InFlight>,
-    free_slots: Vec<usize>,
-    queues: [VecDeque<usize>; 4],
-    busy: [u32; 4],
-    busy_time_ns: [u128; 4],
-    completed_total: u64,
-    completed_measured: u64,
-    latency: Histogram,
-    measure_start: SimTime,
-    warmup: u64,
+    inflight: Slots<InFlight>,
+    stations: Stations,
+    window: Window,
     target_total: u64,
     think_mean: Option<SimDuration>,
+    visits: V,
 }
 
-impl Run<'_> {
-    /// Starts queued work at `res` while servers are free.
+impl<V: Visits> Run<'_, V> {
     fn try_start(&mut self, res: Resource, now: SimTime) {
-        let ri = res.index();
-        while self.busy[ri] < self.spec.servers_at(res) {
-            let Some(req) = self.queues[ri].pop_front() else {
-                break;
-            };
-            self.busy[ri] += 1;
+        self.stations.start(res, |req| {
             let inf = &self.inflight[req];
             let service = inf.stages[inf.next_stage].service;
-            self.busy_time_ns[ri] += service.as_nanos() as u128;
+            self.visits.started(req, res, service, now);
             self.events
                 .schedule(now + service, Ev::StageDone { req, resource: res });
-        }
+            service
+        });
     }
 
-    /// Records one completion and handles measurement-window edges.
-    fn account_completion(&mut self, started: SimTime, now: SimTime) {
-        self.completed_total += 1;
-        if self.completed_total == self.warmup {
-            self.measure_start = now;
-            self.latency = Histogram::new();
-        }
-        if self.completed_total > self.warmup {
-            self.completed_measured += 1;
-        }
-        self.latency.record_duration(now.saturating_sub(started));
+    fn enqueue(&mut self, req: usize, res: Resource, now: SimTime) {
+        self.visits.queued(req, now);
+        self.stations.push(res, req);
+        self.try_start(res, now);
+    }
+
+    fn complete(&mut self, req: Option<usize>, started: SimTime, now: SimTime) {
+        self.window.complete(started, now);
+        self.visits.completed(req, started, now);
     }
 
     /// Issues requests from one client until one actually occupies a
     /// station (zero-demand requests complete instantly and are counted).
     fn launch(&mut self, now: SimTime) {
-        while self.completed_total < self.target_total {
+        while self.window.completed < self.target_total {
             let stages = self.source.next_request(&mut self.rng);
-            if stages.is_empty() {
-                self.account_completion(now, now);
+            let Some(first) = stages.first() else {
+                self.complete(None, now, now);
                 continue;
-            }
-            let slot = match self.free_slots.pop() {
-                Some(s) => {
-                    self.inflight[s] = InFlight {
-                        stages,
-                        next_stage: 0,
-                        started: now,
-                    };
-                    s
-                }
-                None => {
-                    self.inflight.push(InFlight {
-                        stages,
-                        next_stage: 0,
-                        started: now,
-                    });
-                    self.inflight.len() - 1
-                }
             };
-            let r = self.inflight[slot].stages[0].resource;
-            self.queues[r.index()].push_back(slot);
-            self.try_start(r, now);
+            let res = first.resource;
+            let req = self.inflight.insert(InFlight {
+                stages,
+                next_stage: 0,
+                started: now,
+            });
+            self.enqueue(req, res, now);
             return;
         }
+    }
+
+    fn stage_done(&mut self, req: usize, resource: Resource, now: SimTime) {
+        self.stations.release(resource);
+        let inf = &mut self.inflight[req];
+        inf.next_stage += 1;
+        if let Some(next) = inf.stages.get(inf.next_stage) {
+            let res = next.resource;
+            self.enqueue(req, res, now);
+        } else {
+            let started = inf.started;
+            self.complete(Some(req), started, now);
+            self.inflight.release(req);
+            match self.think_mean {
+                Some(mean) if !mean.is_zero() => {
+                    let think = self.rng.exp_duration(mean);
+                    self.events.schedule(now + think, Ev::Launch);
+                }
+                _ => self.launch(now),
+            }
+        }
+        self.try_start(resource, now);
     }
 }
 
@@ -286,27 +289,36 @@ impl ServerSim {
         measured: u64,
         seed: u64,
     ) -> RunStats {
+        self.run_visited(source, n_clients, think_mean, warmup, measured, seed, ())
+            .0
+    }
+
+    /// The closed loop, reporting every station visit to `visits`.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn run_visited<V: Visits>(
+        &self,
+        source: &mut dyn RequestSource,
+        n_clients: u32,
+        think_mean: Option<SimDuration>,
+        warmup: u64,
+        measured: u64,
+        seed: u64,
+        visits: V,
+    ) -> (RunStats, V) {
         assert!(n_clients > 0, "need at least one client");
         assert!(measured > 0, "need a measurement window");
         let mut run = Run {
-            spec: self.spec,
             source,
             rng: SimRng::seed_from(seed),
             // One pending service event per client at most, plus think
             // timers: pre-size so the run never reallocates the arena.
             events: EventQueue::with_capacity(n_clients as usize + 1),
-            inflight: Vec::new(),
-            free_slots: Vec::new(),
-            queues: Default::default(),
-            busy: [0; 4],
-            busy_time_ns: [0; 4],
-            completed_total: 0,
-            completed_measured: 0,
-            latency: Histogram::new(),
-            measure_start: SimTime::ZERO,
-            warmup,
+            inflight: Slots::new(),
+            stations: Stations::new(&self.spec),
+            window: Window::new(warmup),
             target_total: warmup + measured,
             think_mean,
+            visits,
         };
 
         for _ in 0..n_clients {
@@ -325,59 +337,24 @@ impl ServerSim {
         let mut epoch: Vec<Ev> = Vec::new();
         'outer: while let Some(now) = run.events.pop_epoch(&mut epoch) {
             for ev in epoch.drain(..) {
+                // Only a stage completion can end the run: a think timer
+                // that launches into the target lets the epoch go on.
                 let Ev::StageDone { req, resource } = ev else {
                     run.launch(now);
                     continue;
                 };
-                let ev = StageDoneInfo { req, resource };
-                run.busy[ev.resource.index()] -= 1;
-                run.inflight[ev.req].next_stage += 1;
-                let inf = &run.inflight[ev.req];
-                if inf.next_stage >= inf.stages.len() {
-                    let started = inf.started;
-                    run.account_completion(started, now);
-                    run.free_slots.push(ev.req);
-                    match run.think_mean {
-                        Some(mean) if !mean.is_zero() => {
-                            let think = run.rng.exp_duration(mean);
-                            run.events.schedule(now + think, Ev::Launch);
-                        }
-                        _ => run.launch(now),
-                    }
-                } else {
-                    let r = inf.stages[inf.next_stage].resource;
-                    run.queues[r.index()].push_back(ev.req);
-                    run.try_start(r, now);
-                }
-                run.try_start(ev.resource, now);
-                if run.completed_total >= run.target_total {
+                run.stage_done(req, resource, now);
+                if run.window.completed >= run.target_total {
                     break 'outer;
                 }
             }
         }
 
         let end = run.events.now();
-        let window = end.saturating_sub(run.measure_start);
-        let total_span = end.saturating_sub(SimTime::ZERO);
-        let mut utilization = [0.0; 4];
-        for r in Resource::ALL {
-            let servers = self.spec.servers_at(r) as f64;
-            let denom = total_span.as_nanos() as f64 * servers;
-            if denom > 0.0 {
-                // Busy time is accrued at schedule time, so services still
-                // in flight when the run stops can push the raw ratio just
-                // past 1; clamp, since utilization above 1 is meaningless.
-                utilization[r.index()] = (run.busy_time_ns[r.index()] as f64 / denom).min(1.0);
-            }
-        }
-        RunStats {
-            completed: run.completed_measured,
-            window,
-            latency: run.latency,
-            utilization,
-            faults: FaultStats::default(),
-            queue: run.events.obs_stats(),
-        }
+        let utilization = utilization(std::slice::from_ref(&run.stations), end);
+        let queue = run.events.obs_stats();
+        let stats = run.window.stats(end, utilization, queue);
+        (stats, run.visits)
     }
 }
 

@@ -103,6 +103,30 @@ pub struct FaultStats {
     pub plan_skipped: u64,
 }
 
+/// Checks that outage windows are ordered and disjoint: each window
+/// repairs no earlier than it fails, and before the next one fails
+/// (`down_at <= up_at <= next.down_at`). Every
+/// [`FaultProcess::windows`] plan passes.
+///
+/// # Errors
+/// [`ConfigError::OutOfRange`] naming the offending window's failure
+/// instant, in seconds.
+pub(crate) fn check_windows(windows: &[DownWindow]) -> Result<(), ConfigError> {
+    for (i, w) in windows.iter().enumerate() {
+        let overlaps_next = windows
+            .get(i + 1)
+            .is_some_and(|next| next.down_at < w.up_at);
+        if w.up_at < w.down_at || overlaps_next {
+            return Err(ConfigError::OutOfRange {
+                param: "outage window",
+                requirement: "must be ordered and disjoint (down_at <= up_at <= next down_at)",
+                got: w.down_at.saturating_sub(SimTime::ZERO).as_secs_f64(),
+            });
+        }
+    }
+    Ok(())
+}
+
 /// A deterministic outage schedule for every server in a cluster.
 #[derive(Debug, Clone, Default)]
 pub struct ClusterFaults {
@@ -152,8 +176,10 @@ impl ClusterFaults {
         ClusterFaults { windows }
     }
 
-    /// Overrides server `server`'s outage windows (must be sorted and
-    /// disjoint, as produced by [`FaultProcess::windows`]).
+    /// Overrides server `server`'s outage windows. They must be ordered
+    /// and disjoint (`down_at <= up_at <= next.down_at`), as produced by
+    /// [`FaultProcess::windows`]; the cluster runs reject a plan that is
+    /// not.
     pub fn set_windows(&mut self, server: usize, windows: Vec<DownWindow>) {
         if self.windows.len() <= server {
             self.windows.resize_with(server + 1, Vec::new);
@@ -239,6 +265,23 @@ mod tests {
         // 4 servers, one down 5s of 100s: mean availability 1 - 5/400.
         let a = plan.mean_availability(4, secs(100.0));
         assert!((a - (1.0 - 5.0 / 400.0)).abs() < 1e-12, "availability {a}");
+    }
+
+    #[test]
+    fn generated_plans_are_well_formed() {
+        let p = FaultProcess::exponential(secs(10.0), secs(5.0)).unwrap();
+        let plan = ClusterFaults::from_processes(&[p, p, p], secs(1_000.0), 3);
+        for s in 0..3 {
+            assert!(plan.windows_for(s).len() > 10);
+            assert!(check_windows(plan.windows_for(s)).is_ok());
+        }
+        let w = |down: f64, up: f64| DownWindow {
+            down_at: SimTime::ZERO + secs(down),
+            up_at: SimTime::ZERO + secs(up),
+        };
+        assert!(check_windows(&[w(2.0, 1.0)]).is_err());
+        assert!(check_windows(&[w(1.0, 3.0), w(2.0, 4.0)]).is_err());
+        assert!(check_windows(&[w(1.0, 1.0), w(1.0, 2.0)]).is_ok());
     }
 
     #[test]

@@ -20,6 +20,22 @@
 //! adaptation: it searches for the largest client count whose p95 latency
 //! still meets the QoS bound and reports the throughput there.
 //!
+//! # Drivers
+//!
+//! Four drivers run this model. Each owns its event loop and its arrival
+//! process; all of them queue, start and account for work through one
+//! shared station kernel, so the FCFS station logic is written once.
+//!
+//! * [`ServerSim`] — the closed loop, with optional think time.
+//!   [`trace_closed_loop`] is the same loop, watched through a visit hook.
+//! * [`Cluster`] — many servers behind a dispatcher, with outage plans,
+//!   timeouts, retries and the resilience layer.
+//! * [`run_open_loop`], [`run_open_loop_profiled`] and
+//!   [`run_open_loop_resilient`] — Poisson arrivals, optionally
+//!   rate-modulated, against one blade that may fail. The first two are
+//!   the resilient loop with no outages and the layer disabled.
+//! * [`run_batch`] — a fixed task set run to completion (makespan).
+//!
 //! # Example
 //! ```
 //! use wcs_simcore::{SimDuration, SimRng};
@@ -45,6 +61,7 @@ pub mod cluster;
 pub mod driver;
 mod engine;
 pub mod failover;
+mod kernel;
 pub mod openloop;
 mod request;
 pub mod resilience;

@@ -6,33 +6,17 @@
 //! without bound past saturation) that closed loops hide, so the suite
 //! provides both.
 
-use std::collections::VecDeque;
-
 use wcs_simcore::faults::DownWindow;
-use wcs_simcore::stats::Histogram;
 use wcs_simcore::{EventQueue, SimDuration, SimRng, SimTime};
 
 use crate::engine::{RunStats, ServerSpec};
-use crate::failover::{FaultStats, RetryPolicy};
+use crate::failover::{check_windows, FaultStats, RetryPolicy};
+use crate::kernel::{may_retry, utilization, Attempt, Slots, StageSpan, Stations, Window};
 use crate::request::{RequestSource, Resource, Stage};
 use crate::resilience::{
     priority_for, CircuitBreaker, Priority, ResilienceConfig, ResilienceStats, RetryBudget,
     TokenBucket,
 };
-
-struct InFlight {
-    stages: Vec<crate::request::Stage>,
-    next_stage: usize,
-    started: SimTime,
-    /// 0-based attempt index; always 0 outside the resilient entry
-    /// point, which re-dispatches failed work.
-    attempt_no: u32,
-}
-
-enum Event {
-    Arrival,
-    StageDone { req: usize, resource: Resource },
-}
 
 /// A piecewise-constant arrival-rate modulation, cycled over simulated
 /// time: the offered rate during segment `i` is the run's base rate
@@ -156,6 +140,9 @@ pub fn run_open_loop(
 /// deterministic for a given seed). With `RateProfile::constant()` this
 /// is bit-identical to [`run_open_loop`], which merely delegates here.
 ///
+/// This is [`run_open_loop_resilient`] with no outages and
+/// [`ResilienceConfig::disabled`], reporting all-zero [`FaultStats`].
+///
 /// # Panics
 /// Panics if `lambda_rps` is not positive and finite, or `measured` is
 /// zero.
@@ -168,156 +155,31 @@ pub fn run_open_loop_profiled(
     measured: u64,
     seed: u64,
 ) -> RunStats {
-    assert!(
-        lambda_rps.is_finite() && lambda_rps > 0.0,
-        "arrival rate must be positive"
+    let (mut stats, _) = run_open_loop_resilient(
+        spec,
+        source,
+        lambda_rps,
+        profile,
+        warmup,
+        measured,
+        seed,
+        &[],
+        &RetryPolicy::none(),
+        &ResilienceConfig::disabled(),
     );
-    assert!(measured > 0, "need a measurement window");
-    let mut rng = SimRng::seed_from(seed);
-    let mut arrival_rng = rng.fork(1);
-    let iat_at = |t: SimTime| -> SimDuration {
-        SimDuration::from_secs_f64(1.0 / (lambda_rps * profile.multiplier_at(t)))
-    };
-
-    let mut events: EventQueue<Event> = EventQueue::new();
-    let mut inflight: Vec<InFlight> = Vec::new();
-    let mut free: Vec<usize> = Vec::new();
-    let mut queues: [VecDeque<usize>; 4] = Default::default();
-    let mut busy = [0u32; 4];
-    let mut busy_ns = [0u128; 4];
-
-    let servers_at = |r: Resource| -> u32 {
-        match r {
-            Resource::Cpu => spec.cores,
-            Resource::Memory => spec.memory_channels,
-            Resource::Disk => spec.disks,
-            Resource::Net => spec.nics,
-        }
-    };
-
-    let target = warmup + measured;
-    let mut completed: u64 = 0;
-    let mut completed_measured: u64 = 0;
-    let mut latency = Histogram::new();
-    let mut measure_start = SimTime::ZERO;
-
-    events.schedule(
-        SimTime::ZERO + arrival_rng.exp_duration(iat_at(SimTime::ZERO)),
-        Event::Arrival,
-    );
-
-    macro_rules! try_start {
-        ($res:expr, $now:expr) => {{
-            let ri = $res.index();
-            while busy[ri] < servers_at($res) {
-                let Some(req) = queues[ri].pop_front() else {
-                    break;
-                };
-                busy[ri] += 1;
-                let svc = inflight[req].stages[inflight[req].next_stage].service;
-                busy_ns[ri] += svc.as_nanos() as u128;
-                events.schedule(
-                    $now + svc,
-                    Event::StageDone {
-                        req,
-                        resource: $res,
-                    },
-                );
-            }
-        }};
-    }
-
-    macro_rules! complete {
-        ($now:expr, $started:expr) => {{
-            completed += 1;
-            if completed == warmup {
-                measure_start = $now;
-                latency = Histogram::new();
-            }
-            if completed > warmup {
-                completed_measured += 1;
-            }
-            latency.record_duration($now.saturating_sub($started));
-        }};
-    }
-
-    while completed < target {
-        let Some((now, ev)) = events.pop() else { break };
-        match ev {
-            Event::Arrival => {
-                // Schedule the next arrival first so the stream is
-                // independent of service completions.
-                events.schedule(now + arrival_rng.exp_duration(iat_at(now)), Event::Arrival);
-                let stages = source.next_request(&mut rng);
-                if stages.is_empty() {
-                    complete!(now, now);
-                    continue;
-                }
-                let slot = match free.pop() {
-                    Some(s) => {
-                        inflight[s] = InFlight {
-                            stages,
-                            next_stage: 0,
-                            started: now,
-                            attempt_no: 0,
-                        };
-                        s
-                    }
-                    None => {
-                        inflight.push(InFlight {
-                            stages,
-                            next_stage: 0,
-                            started: now,
-                            attempt_no: 0,
-                        });
-                        inflight.len() - 1
-                    }
-                };
-                let r = inflight[slot].stages[0].resource;
-                queues[r.index()].push_back(slot);
-                try_start!(r, now);
-            }
-            Event::StageDone { req, resource } => {
-                busy[resource.index()] -= 1;
-                inflight[req].next_stage += 1;
-                if inflight[req].next_stage >= inflight[req].stages.len() {
-                    let started = inflight[req].started;
-                    complete!(now, started);
-                    free.push(req);
-                } else {
-                    let r = inflight[req].stages[inflight[req].next_stage].resource;
-                    queues[r.index()].push_back(req);
-                    try_start!(r, now);
-                }
-                try_start!(resource, now);
-            }
-        }
-    }
-
-    let end = events.now();
-    let window = end.saturating_sub(measure_start);
-    let span = end.saturating_sub(SimTime::ZERO).as_nanos() as f64;
-    let mut utilization = [0.0; 4];
-    if span > 0.0 {
-        for r in Resource::ALL {
-            utilization[r.index()] =
-                (busy_ns[r.index()] as f64 / (span * servers_at(r) as f64)).min(1.0);
-        }
-    }
-    RunStats {
-        completed: completed_measured,
-        window,
-        latency,
-        utilization,
-        faults: crate::failover::FaultStats::default(),
-        queue: events.obs_stats(),
-    }
+    stats.faults = FaultStats::default();
+    stats
 }
 
-/// Open-loop events for the resilient entry point. Stage completions
-/// carry a slot generation so work voided by a blade outage is skipped
-/// when its completion event finally pops.
-enum REvent {
+/// An attempt in service at the blade.
+struct Flight {
+    attempt: Attempt,
+    next_stage: usize,
+}
+
+/// Open-loop events. Stage completions carry a slot generation so work
+/// voided by a blade outage is skipped when its completion event pops.
+enum Event {
     Arrival,
     StageDone {
         req: usize,
@@ -326,11 +188,7 @@ enum REvent {
     },
     Down,
     Up,
-    Retry {
-        stages: Vec<Stage>,
-        started: SimTime,
-        attempt_no: u32,
-    },
+    Retry(Attempt),
 }
 
 /// Runs a profiled open loop through the overload-resilience layer
@@ -354,13 +212,11 @@ enum REvent {
 ///    `retry.timeout` is ignored here: an open loop has no client to
 ///    abandon work, and outages already fail in-flight work fast.
 ///
-/// The arrival and request streams are drawn exactly as in
-/// [`run_open_loop_profiled`] (shed decisions discard the drawn
-/// request rather than skipping the draw), so the offered workload is
-/// identical across resilience configurations — only its fate differs.
-/// With no outages and [`ResilienceConfig::disabled`] the run
-/// reproduces [`run_open_loop_profiled`]'s completions, window,
-/// latency, and utilization exactly.
+/// Shed decisions discard the drawn request rather than skipping the
+/// draw, so the arrival and request streams, and with them the offered
+/// workload, are identical across resilience configurations — only its
+/// fate differs. With no outages and [`ResilienceConfig::disabled`] the
+/// run is [`run_open_loop_profiled`].
 ///
 /// If faults or shedding keep the run from ever completing
 /// `warmup + measured` requests, it still terminates once that many
@@ -370,7 +226,8 @@ enum REvent {
 ///
 /// # Panics
 /// Panics if `lambda_rps` is not positive and finite, `measured` is
-/// zero, or `resilience` is misconfigured.
+/// zero, `resilience` is misconfigured, or `outages` are not ordered and
+/// disjoint (`down_at <= up_at <= next.down_at`).
 #[allow(clippy::too_many_arguments)]
 pub fn run_open_loop_resilient(
     spec: ServerSpec,
@@ -390,6 +247,7 @@ pub fn run_open_loop_resilient(
     );
     assert!(measured > 0, "need a measurement window");
     resilience.validate();
+    check_windows(outages).unwrap_or_else(|e| panic!("{e}"));
     let mut rng = SimRng::seed_from(seed);
     let mut arrival_rng = rng.fork(1);
     let iat_at = |t: SimTime| -> SimDuration {
@@ -404,83 +262,43 @@ pub fn run_open_loop_resilient(
         .map(|cfg| CircuitBreaker::new(cfg, seed ^ 0xB4EA_0002, 0));
     let mut res_stats = ResilienceStats::default();
 
-    let mut events: EventQueue<REvent> = EventQueue::new();
-    let mut inflight: Vec<InFlight> = Vec::new();
-    let mut slot_gen: Vec<u64> = Vec::new();
-    let mut active: Vec<bool> = Vec::new();
-    let mut free: Vec<usize> = Vec::new();
-    let mut queues: [VecDeque<usize>; 4] = Default::default();
-    let mut busy = [0u32; 4];
-    let mut busy_ns = [0u128; 4];
+    let mut events: EventQueue<Event> = EventQueue::new();
+    // Stage lists of the requests not yet resolved (`pending` of them),
+    // emptied whenever none is, so it holds the work in flight, not the
+    // whole run.
+    let mut stage_pool: Vec<Stage> = Vec::new();
+    let mut pending: u64 = 0;
+    let mut inflight: Slots<Flight> = Slots::new();
+    let mut stations = Stations::new(&spec);
     let mut up = true;
 
-    let servers_at = |r: Resource| -> u32 {
-        match r {
-            Resource::Cpu => spec.cores,
-            Resource::Memory => spec.memory_channels,
-            Resource::Disk => spec.disks,
-            Resource::Net => spec.nics,
-        }
-    };
-
-    // The whole outage plan up front; generated windows are in-horizon
-    // and sorted, so plain `schedule` is safe at time zero.
+    // The whole outage plan up front: it is checked ordered above, and
+    // the clock reads zero, so every edge schedules.
     for w in outages {
-        events.schedule(w.down_at, REvent::Down);
-        events.schedule(w.up_at, REvent::Up);
+        events.schedule(w.down_at, Event::Down);
+        events.schedule(w.up_at, Event::Up);
     }
 
     let target = warmup + measured;
-    let mut completed: u64 = 0;
-    let mut completed_measured: u64 = 0;
-    let mut retries_n: u64 = 0;
-    let mut dropped_n: u64 = 0;
+    let mut window = Window::new(warmup);
     let mut resolved: u64 = 0;
     let mut arrival_idx: u64 = 0;
-    let mut latency = Histogram::new();
-    let mut measure_start = SimTime::ZERO;
 
     events.schedule(
         SimTime::ZERO + arrival_rng.exp_duration(iat_at(SimTime::ZERO)),
-        REvent::Arrival,
+        Event::Arrival,
     );
 
     macro_rules! try_start {
         ($res:expr, $now:expr) => {{
-            let ri = $res.index();
-            while busy[ri] < servers_at($res) {
-                let Some(req) = queues[ri].pop_front() else {
-                    break;
-                };
-                busy[ri] += 1;
-                let svc = inflight[req].stages[inflight[req].next_stage].service;
-                busy_ns[ri] += svc.as_nanos() as u128;
-                events.schedule(
-                    $now + svc,
-                    REvent::StageDone {
-                        req,
-                        gen: slot_gen[req],
-                        resource: $res,
-                    },
-                );
-            }
-        }};
-    }
-
-    macro_rules! complete {
-        ($now:expr, $started:expr) => {{
-            completed += 1;
-            resolved += 1;
-            if completed == warmup {
-                measure_start = $now;
-                latency = Histogram::new();
-                retries_n = 0;
-                dropped_n = 0;
-            }
-            if completed > warmup {
-                completed_measured += 1;
-            }
-            latency.record_duration($now.saturating_sub($started));
+            let (resource, now) = ($res, $now);
+            stations.start(resource, |req| {
+                let f = &inflight[req];
+                let svc = f.attempt.stages.of(&stage_pool)[f.next_stage].service;
+                let gen = inflight.gen(req);
+                events.schedule(now + svc, Event::StageDone { req, gen, resource });
+                svc
+            });
         }};
     }
 
@@ -488,26 +306,16 @@ pub fn run_open_loop_resilient(
     // the per-request attempt budget and the global budget allow, else
     // drop — the request resolves either way.
     macro_rules! fail_attempt {
-        ($stages:expr, $started:expr, $attempt_no:expr, $now:expr) => {{
-            let attempt_no: u32 = $attempt_no;
-            if attempt_no < retry.max_retries
-                && match &mut budget {
-                    None => true,
-                    Some(b) => b.try_spend(),
-                }
-            {
-                retries_n += 1;
-                events.schedule(
-                    $now + retry.backoff_for(attempt_no),
-                    REvent::Retry {
-                        stages: $stages,
-                        started: $started,
-                        attempt_no: attempt_no + 1,
-                    },
-                );
+        ($attempt:expr, $now:expr) => {{
+            let attempt: Attempt = $attempt;
+            if may_retry(retry, &mut budget, attempt.no) {
+                window.faults.retries += 1;
+                let delay = retry.backoff_for(attempt.no);
+                events.schedule($now + delay, Event::Retry(attempt.next()));
             } else {
-                dropped_n += 1;
+                window.faults.dropped += 1;
                 resolved += 1;
+                pending -= 1;
             }
         }};
     }
@@ -515,8 +323,8 @@ pub fn run_open_loop_resilient(
     // Routes admitted work to the blade, or through the failure path
     // when the blade is down or the breaker refuses.
     macro_rules! dispatch {
-        ($stages:expr, $started:expr, $attempt_no:expr, $now:expr) => {{
-            let stages: Vec<Stage> = $stages;
+        ($attempt:expr, $now:expr) => {{
+            let attempt: Attempt = $attempt;
             let breaker_refuses = up && breaker.as_mut().is_some_and(|b| !b.admits($now));
             if !up {
                 // An attempt against a down blade is a failure the
@@ -525,47 +333,35 @@ pub fn run_open_loop_resilient(
                 if let Some(b) = &mut breaker {
                     b.record_failure($now);
                 }
-                fail_attempt!(stages, $started, $attempt_no, $now);
+                fail_attempt!(attempt, $now);
             } else if breaker_refuses {
                 res_stats.breaker_fast_fails += 1;
-                fail_attempt!(stages, $started, $attempt_no, $now);
+                fail_attempt!(attempt, $now);
             } else {
                 if let Some(b) = &mut breaker {
                     b.note_dispatch();
                 }
-                let first = stages[0].resource;
-                let flight = InFlight {
-                    stages,
+                let first = attempt.stages.of(&stage_pool)[0].resource;
+                let slot = inflight.insert(Flight {
+                    attempt,
                     next_stage: 0,
-                    started: $started,
-                    attempt_no: $attempt_no,
-                };
-                let slot = match free.pop() {
-                    Some(s) => {
-                        inflight[s] = flight;
-                        active[s] = true;
-                        s
-                    }
-                    None => {
-                        inflight.push(flight);
-                        slot_gen.push(0);
-                        active.push(true);
-                        inflight.len() - 1
-                    }
-                };
-                queues[first.index()].push_back(slot);
+                });
+                stations.push(first, slot);
                 try_start!(first, $now);
             }
         }};
     }
 
     while resolved < target {
+        if pending == 0 {
+            stage_pool.clear();
+        }
         let Some((now, ev)) = events.pop() else { break };
         match ev {
-            REvent::Arrival => {
+            Event::Arrival => {
                 // Next arrival first: the stream is independent of
                 // completions, shedding, and faults.
-                events.schedule(now + arrival_rng.exp_duration(iat_at(now)), REvent::Arrival);
+                events.schedule(now + arrival_rng.exp_duration(iat_at(now)), Event::Arrival);
                 let idx = arrival_idx;
                 arrival_idx += 1;
                 let stages = source.next_request(&mut rng);
@@ -586,63 +382,53 @@ pub fn run_open_loop_resilient(
                 }
                 res_stats.admitted += 1;
                 if stages.is_empty() {
-                    complete!(now, now);
+                    resolved += 1;
+                    window.complete(now, now);
                     continue;
                 }
-                dispatch!(stages, now, 0u32, now);
+                pending += 1;
+                let span = StageSpan::push(&mut stage_pool, &stages);
+                dispatch!(Attempt::first(span, now), now);
             }
-            REvent::Retry {
-                stages,
-                started,
-                attempt_no,
-            } => {
-                dispatch!(stages, started, attempt_no, now);
-            }
-            REvent::Down => {
+            Event::Retry(attempt) => dispatch!(attempt, now),
+            Event::Down => {
                 up = false;
                 // Fail-fast: everything queued or in service dies; the
                 // breaker hears about every victim.
-                for q in queues.iter_mut() {
-                    q.clear();
-                }
-                busy = [0; 4];
+                stations.clear();
                 for slot in 0..inflight.len() {
-                    if !active[slot] {
+                    if !inflight.is_live(slot) {
                         continue;
                     }
-                    slot_gen[slot] += 1; // voids pending StageDone
-                    active[slot] = false;
-                    free.push(slot);
+                    inflight.release(slot); // voids pending StageDone
                     if let Some(b) = &mut breaker {
                         b.record_failure(now);
                     }
-                    let stages = std::mem::take(&mut inflight[slot].stages);
-                    let started = inflight[slot].started;
-                    let attempt_no = inflight[slot].attempt_no;
-                    fail_attempt!(stages, started, attempt_no, now);
+                    fail_attempt!(inflight[slot].attempt, now);
                 }
             }
-            REvent::Up => {
+            Event::Up => {
                 up = true;
             }
-            REvent::StageDone { req, gen, resource } => {
-                if slot_gen[req] != gen {
+            Event::StageDone { req, gen, resource } => {
+                if inflight.gen(req) != gen {
                     continue; // voided by an outage
                 }
-                busy[resource.index()] -= 1;
+                stations.release(resource);
                 inflight[req].next_stage += 1;
-                if inflight[req].next_stage >= inflight[req].stages.len() {
-                    slot_gen[req] += 1;
-                    active[req] = false;
-                    let started = inflight[req].started;
-                    complete!(now, started);
+                let f = &inflight[req];
+                if f.next_stage >= f.attempt.stages.len() {
+                    let started = f.attempt.started;
+                    inflight.release(req);
+                    resolved += 1;
+                    pending -= 1;
+                    window.complete(started, now);
                     if let Some(b) = &mut breaker {
                         b.record_success(now);
                     }
-                    free.push(req);
                 } else {
-                    let r = inflight[req].stages[inflight[req].next_stage].resource;
-                    queues[r.index()].push_back(req);
+                    let r = f.attempt.stages.of(&stage_pool)[f.next_stage].resource;
+                    stations.push(r, req);
                     try_start!(r, now);
                 }
                 try_start!(resource, now);
@@ -651,40 +437,11 @@ pub fn run_open_loop_resilient(
     }
 
     let end = events.now();
-    let window = end.saturating_sub(measure_start);
-    let span = end.saturating_sub(SimTime::ZERO).as_nanos() as f64;
-    let mut utilization = [0.0; 4];
-    if span > 0.0 {
-        for r in Resource::ALL {
-            utilization[r.index()] =
-                (busy_ns[r.index()] as f64 / (span * servers_at(r) as f64)).min(1.0);
-        }
-    }
-    if let Some(b) = &budget {
-        res_stats.retries_spent = b.spent();
-        res_stats.retries_denied = b.denied();
-    }
-    if let Some(b) = &breaker {
-        res_stats.breaker_trips = b.trips();
-        res_stats.breaker_open_ns = b.open_ns(end);
-    }
-    (
-        RunStats {
-            completed: completed_measured,
-            window,
-            latency,
-            utilization,
-            faults: FaultStats {
-                timeouts: 0,
-                retries: retries_n,
-                dropped: dropped_n,
-                offered: completed_measured + dropped_n,
-                plan_skipped: 0,
-            },
-            queue: events.obs_stats(),
-        },
-        res_stats,
-    )
+    res_stats.finish(budget.as_ref(), breaker.as_slice(), end);
+    window.faults.offered = window.measured + window.faults.dropped;
+    let utilization = utilization(std::slice::from_ref(&stations), end);
+    let stats = window.stats(end, utilization, events.obs_stats());
+    (stats, res_stats)
 }
 
 #[cfg(test)]
@@ -896,6 +653,45 @@ mod tests {
         assert_eq!(stats.retries_spent, 0);
         assert_eq!(stats.breaker_trips, 0);
         assert_eq!(stats.offered, stats.admitted);
+    }
+
+    fn run_with_outages(outages: &[DownWindow]) {
+        run_open_loop_resilient(
+            ServerSpec::new(1),
+            &mut cpu_source(500),
+            800.0,
+            &RateProfile::constant(),
+            50,
+            500,
+            3,
+            outages,
+            &RetryPolicy::none(),
+            &ResilienceConfig::disabled(),
+        );
+    }
+
+    fn window(down_ms: u64, up_ms: u64) -> DownWindow {
+        DownWindow {
+            down_at: SimTime::ZERO + SimDuration::from_millis(down_ms),
+            up_at: SimTime::ZERO + SimDuration::from_millis(up_ms),
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "ordered and disjoint")]
+    fn rejects_inverted_outage_window() {
+        run_with_outages(&[window(300, 100)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "ordered and disjoint")]
+    fn rejects_overlapping_outage_windows() {
+        run_with_outages(&[window(100, 300), window(200, 400)]);
+    }
+
+    #[test]
+    fn accepts_touching_and_empty_outage_windows() {
+        run_with_outages(&[window(100, 100), window(100, 200), window(200, 300)]);
     }
 
     #[test]

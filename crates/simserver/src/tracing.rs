@@ -2,15 +2,16 @@
 //!
 //! The aggregate [`RunStats`](crate::RunStats) answer "how fast"; traces
 //! answer "why": where each request spent its time, station by station.
-//! Tracing re-runs the engine logic with instrumented stages, so it is
-//! opt-in and meant for small diagnostic runs.
+//! A traced run is the closed loop itself, watched through its visit
+//! hook, so it observes exactly the run
+//! [`ServerSim::run_closed_loop`](crate::ServerSim::run_closed_loop)
+//! makes. Every visit is kept, so tracing is meant for small diagnostic
+//! runs.
 
-use std::collections::VecDeque;
+use wcs_simcore::{SimDuration, SimTime};
 
-use wcs_simcore::{EventQueue, SimDuration, SimRng, SimTime};
-
-use crate::engine::ServerSpec;
-use crate::request::{RequestSource, Resource, Stage};
+use crate::engine::{ServerSim, ServerSpec, Visits};
+use crate::request::{RequestSource, Resource};
 
 /// One stage visit in a request's life.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -66,6 +67,43 @@ impl RequestTrace {
     }
 }
 
+/// Records each request's visits as the closed loop reports them.
+#[derive(Default)]
+struct Tracer {
+    /// Per slot: when the request there joined its current station's
+    /// queue, and its visits so far.
+    slots: Vec<(SimTime, Vec<StageVisit>)>,
+    traces: Vec<RequestTrace>,
+}
+
+impl Visits for Tracer {
+    fn queued(&mut self, slot: usize, now: SimTime) {
+        // New slots are handed out in index order, and a request queues
+        // before it can start, so a slot seen first is always the next.
+        if slot == self.slots.len() {
+            self.slots.push((now, Vec::new()));
+        }
+        self.slots[slot].0 = now;
+    }
+
+    fn started(&mut self, slot: usize, resource: Resource, service: SimDuration, now: SimTime) {
+        let (enqueued_at, visits) = &mut self.slots[slot];
+        visits.push(StageVisit {
+            resource,
+            queued: now.saturating_sub(*enqueued_at),
+            service,
+        });
+    }
+
+    fn completed(&mut self, slot: Option<usize>, arrived: SimTime, now: SimTime) {
+        self.traces.push(RequestTrace {
+            arrived,
+            completed: now,
+            visits: slot.map_or_else(Vec::new, |s| std::mem::take(&mut self.slots[s].1)),
+        });
+    }
+}
+
 /// Runs a closed loop like
 /// [`ServerSim::run_closed_loop`](crate::ServerSim::run_closed_loop) but
 /// returns the full per-request timeline of the first `traced` completed
@@ -82,139 +120,18 @@ pub fn trace_closed_loop(
 ) -> Vec<RequestTrace> {
     assert!(n_clients > 0, "need at least one client");
     assert!(traced > 0, "need requests to trace");
-
-    struct InFlight {
-        stages: Vec<Stage>,
-        next_stage: usize,
-        arrived: SimTime,
-        enqueued_at: SimTime,
-        visits: Vec<StageVisit>,
-    }
-    #[derive(Clone, Copy)]
-    struct Done {
-        req: usize,
-        resource: Resource,
-    }
-
-    let servers_at = |r: Resource| -> u32 {
-        match r {
-            Resource::Cpu => spec.cores,
-            Resource::Memory => spec.memory_channels,
-            Resource::Disk => spec.disks,
-            Resource::Net => spec.nics,
-        }
-    };
-
-    let mut rng = SimRng::seed_from(seed);
-    let mut events: EventQueue<Done> = EventQueue::new();
-    let mut inflight: Vec<InFlight> = Vec::new();
-    let mut free: Vec<usize> = Vec::new();
-    let mut queues: [VecDeque<usize>; 4] = Default::default();
-    let mut busy = [0u32; 4];
-    let mut traces: Vec<RequestTrace> = Vec::with_capacity(traced as usize);
-
-    macro_rules! try_start {
-        ($res:expr, $now:expr) => {{
-            let ri = $res.index();
-            while busy[ri] < servers_at($res) {
-                let Some(req) = queues[ri].pop_front() else {
-                    break;
-                };
-                busy[ri] += 1;
-                let inf = &mut inflight[req];
-                let service = inf.stages[inf.next_stage].service;
-                let queued = $now.saturating_sub(inf.enqueued_at);
-                inf.visits.push(StageVisit {
-                    resource: $res,
-                    queued,
-                    service,
-                });
-                events.schedule(
-                    $now + service,
-                    Done {
-                        req,
-                        resource: $res,
-                    },
-                );
-            }
-        }};
-    }
-
-    macro_rules! launch {
-        ($now:expr) => {{
-            loop {
-                let stages = source.next_request(&mut rng);
-                if stages.is_empty() {
-                    if (traces.len() as u64) < traced {
-                        traces.push(RequestTrace {
-                            arrived: $now,
-                            completed: $now,
-                            visits: Vec::new(),
-                        });
-                        continue;
-                    }
-                    break;
-                }
-                let slot = match free.pop() {
-                    Some(s) => s,
-                    None => {
-                        inflight.push(InFlight {
-                            stages: Vec::new(),
-                            next_stage: 0,
-                            arrived: SimTime::ZERO,
-                            enqueued_at: SimTime::ZERO,
-                            visits: Vec::new(),
-                        });
-                        inflight.len() - 1
-                    }
-                };
-                inflight[slot] = InFlight {
-                    stages,
-                    next_stage: 0,
-                    arrived: $now,
-                    enqueued_at: $now,
-                    visits: Vec::new(),
-                };
-                let r = inflight[slot].stages[0].resource;
-                queues[r.index()].push_back(slot);
-                try_start!(r, $now);
-                break;
-            }
-        }};
-    }
-
-    for _ in 0..n_clients {
-        launch!(SimTime::ZERO);
-    }
-
-    while (traces.len() as u64) < traced {
-        let Some((now, ev)) = events.pop() else { break };
-        busy[ev.resource.index()] -= 1;
-        inflight[ev.req].next_stage += 1;
-        if inflight[ev.req].next_stage >= inflight[ev.req].stages.len() {
-            let inf = &mut inflight[ev.req];
-            traces.push(RequestTrace {
-                arrived: inf.arrived,
-                completed: now,
-                visits: std::mem::take(&mut inf.visits),
-            });
-            free.push(ev.req);
-            launch!(now);
-        } else {
-            let inf = &mut inflight[ev.req];
-            inf.enqueued_at = now;
-            let r = inf.stages[inf.next_stage].resource;
-            queues[r.index()].push_back(ev.req);
-            try_start!(r, now);
-        }
-        try_start!(ev.resource, now);
-    }
-    traces
+    let sim = ServerSim::new(spec);
+    let tracer = Tracer::default();
+    sim.run_visited(source, n_clients, None, 0, traced, seed, tracer)
+        .1
+        .traces
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::request::Stage;
+    use wcs_simcore::SimRng;
 
     fn fixed(us_cpu: u64, us_disk: u64) -> impl FnMut(&mut SimRng) -> Vec<Stage> {
         move |_rng| {
@@ -269,6 +186,32 @@ mod tests {
             assert_eq!(t.visits[0].resource, Resource::Cpu);
             assert_eq!(t.visits[1].resource, Resource::Disk);
         }
+    }
+
+    #[test]
+    fn trace_observes_the_engine_run() {
+        use wcs_simcore::stats::Histogram;
+        let mut mixed = |rng: &mut SimRng| {
+            if rng.chance(0.2) {
+                return Vec::new();
+            }
+            Resource::ALL
+                .iter()
+                .map(|&r| Stage::new(r, rng.exp_duration(SimDuration::from_micros(300))))
+                .collect()
+        };
+        let spec = ServerSpec {
+            disks: 2,
+            ..ServerSpec::new(2)
+        };
+        let traces = trace_closed_loop(spec, &mut mixed, 6, 800, 5);
+        let stats = ServerSim::new(spec).run_closed_loop(&mut mixed, 6, 0, 800, 5);
+        let mut latency = Histogram::new();
+        for t in &traces {
+            latency.record_duration(t.latency());
+        }
+        assert_eq!(traces.len() as u64, stats.completed);
+        assert_eq!(format!("{latency:?}"), format!("{:?}", stats.latency));
     }
 
     #[test]

@@ -132,21 +132,24 @@ fn hold_events_per_sec() -> f64 {
 }
 
 /// Rate the two chunked SoA replay kernels over fixed-seed materialized
-/// traces: the two-level page kernel in pages/sec (dense store, lane
-/// staging fanned over `pool`) and the flashcache block kernel in
-/// blocks/sec. These feed `perf.replay` in the JSON and are gated
-/// against the committed baseline in CI.
-fn replay_kernel_rates(pool: &ThreadPool) -> (f64, f64) {
+/// traces: the two-level page kernel in pages/sec (dense store, LRU and
+/// the paper-default random replacement) and the flashcache block
+/// kernel in blocks/sec. These feed `perf.replay` in the JSON and are
+/// gated against the committed baseline in CI.
+fn replay_kernel_rates(pool: &ThreadPool) -> (f64, f64, f64) {
     const MEM_ACCESSES: usize = 2_000_000;
     let params = mem_params(WorkloadId::Websearch);
     let buf = MemTraceBuf::generate_par(params, 1, MEM_ACCESSES, pool);
-    // 25% of the 2 GiB baseline locally — the paper's operating point.
-    let mut sim =
-        TwoLevelSim::with_page_universe(131_072, PolicyKind::Lru, 5, params.footprint_pages);
-    let fill = (MEM_ACCESSES / 2) as u64;
-    let _ = sim.par_replay(&buf, 0, fill, pool);
-    let (stats, ms) = timed(|| sim.par_replay(&buf, MEM_ACCESSES / 2, fill, pool));
-    let pages_per_sec = stats.accesses as f64 / (ms / 1e3);
+    let pages_per_sec = |policy| {
+        // 25% of the 2 GiB baseline locally — the paper's operating point.
+        let mut sim = TwoLevelSim::with_page_universe(131_072, policy, 5, params.footprint_pages);
+        let fill = (MEM_ACCESSES / 2) as u64;
+        let _ = sim.run_buf(&buf, 0, fill);
+        let (stats, ms) = timed(|| sim.run_buf(&buf, MEM_ACCESSES / 2, fill));
+        stats.accesses as f64 / (ms / 1e3)
+    };
+    let lru_pages_per_sec = pages_per_sec(PolicyKind::Lru);
+    let random_pages_per_sec = pages_per_sec(PolicyKind::Random);
 
     const DISK_REQUESTS: usize = 400_000;
     let dparams = disktrace::params_for(WorkloadId::Ytube);
@@ -155,7 +158,7 @@ fn replay_kernel_rates(pool: &ThreadPool) -> (f64, f64) {
     let (_, ms) = timed(|| sys.replay_trace(dparams.request_blocks, &trace));
     let blocks_per_sec =
         (DISK_REQUESTS as u64 * u64::from(dparams.request_blocks)) as f64 / (ms / 1e3);
-    (pages_per_sec, blocks_per_sec)
+    (lru_pages_per_sec, random_pages_per_sec, blocks_per_sec)
 }
 
 /// Memory-trace generation rate: materialize a 4M-access websearch trace
@@ -472,7 +475,8 @@ fn main() {
          same-instant fast path never fired"
     );
 
-    let (replay_pages_per_sec, replay_blocks_per_sec) = replay_kernel_rates(&pool);
+    let (replay_pages_per_sec, replay_random_pages_per_sec, replay_blocks_per_sec) =
+        replay_kernel_rates(&pool);
     let memtrace_rate = memtrace_accesses_per_sec();
     let (cross_configs, cross_fnv, cross_ms) = engine_cross_check(&args);
     let service_points = service_scaling(args.seed.unwrap_or(42));
@@ -541,6 +545,7 @@ fn main() {
          \"fast_path_share\": {fast_path_share:.4}, \
          \"scenario_evals_per_sec\": {scenario_evals_per_sec:.3}, \
          \"replay\": {{\"pages_per_sec\": {replay_pages_per_sec:.0}, \
+         \"random_pages_per_sec\": {replay_random_pages_per_sec:.0}, \
          \"blocks_per_sec\": {replay_blocks_per_sec:.0}}}, \
          \"memtrace\": {{\"accesses_per_sec\": {memtrace_rate:.0}}}}},"
     );
@@ -565,7 +570,8 @@ fn main() {
         println!("  service {cells} cells, {workers} worker(s): {wall_ms:>10.1} ms");
     }
     println!(
-        "  replay kernels: twolevel {replay_pages_per_sec:.2e} pages/sec, \
+        "  replay kernels: twolevel lru {replay_pages_per_sec:.2e} pages/sec, \
+         random {replay_random_pages_per_sec:.2e} pages/sec, \
          flashcache {replay_blocks_per_sec:.2e} blocks/sec"
     );
     println!("  memtrace generation: {memtrace_rate:.2e} accesses/sec");

@@ -4,14 +4,21 @@
 //! implementable policy would have performance between these points"; we
 //! add clock (the usual implementable policy) to check that expectation.
 //!
-//! The slot bookkeeping (key map, dirty/ref bits, recency links, clock
-//! hand) lives in the shared [`wcs_simcore::slotcache::SlotCache`]
-//! kernel — the same machinery the flash cache index uses — so this
-//! module only holds the *policy*: which victim mechanism each
-//! [`PolicyKind`] invokes on a full-store miss.
+//! LRU and clock keep their slot bookkeeping (key map, dirty/ref bits,
+//! recency links, clock hand) in the shared
+//! [`wcs_simcore::slotcache::SlotCache`] kernel — the same machinery the
+//! flash cache index uses. Random replacement, the paper's primary
+//! policy, needs none of it: a hit only asks "resident?" and sets the
+//! dirty bit, and a full-store miss only needs the page in the slot the
+//! RNG draws. So it keeps one residency state per page and a slot → page
+//! column, with no page → slot index and no reference bits.
+
+use std::fmt::Debug;
+use std::mem;
 
 use wcs_simcore::memo::{MemoHash, MemoKey};
 use wcs_simcore::slotcache::SlotCache;
+use wcs_simcore::table::OpenMap;
 use wcs_simcore::SimRng;
 
 /// Which replacement policy to use.
@@ -70,9 +77,21 @@ pub enum Touch {
 /// ```
 #[derive(Debug)]
 pub struct PageStore {
-    kind: PolicyKind,
-    cache: SlotCache,
+    store: Store,
     rng: SimRng,
+}
+
+/// The bookkeeping behind each policy.
+#[derive(Debug)]
+enum Store {
+    /// A slot cache with the recency list.
+    Lru(SlotCache),
+    /// A slot cache without it; the hand scans the reference bits.
+    Clock(SlotCache),
+    /// Random replacement over a dense page universe.
+    RandomDense(RandomStore<DenseStates>),
+    /// Random replacement over arbitrary `u64` pages.
+    RandomOpen(RandomStore<OpenStates>),
 }
 
 impl PageStore {
@@ -81,70 +100,87 @@ impl PageStore {
     /// # Panics
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize, kind: PolicyKind, seed: u64) -> Self {
-        PageStore {
-            kind,
-            // Only LRU consults the recency list; skipping its upkeep for
-            // random/clock cannot change any outcome.
-            cache: SlotCache::new(capacity, kind == PolicyKind::Lru),
-            rng: SimRng::seed_from(seed),
-        }
+        let store = match kind {
+            PolicyKind::Lru => Store::Lru(SlotCache::new(capacity, true)),
+            PolicyKind::Clock => Store::Clock(SlotCache::new(capacity, false)),
+            PolicyKind::Random => Store::RandomOpen(RandomStore::new(
+                capacity,
+                OpenStates(OpenMap::with_capacity(capacity)),
+            )),
+        };
+        PageStore::seeded(store, seed)
     }
 
     /// Creates a store whose page numbers are known to lie in
-    /// `[0, universe)`, backing the key map with a dense direct-index
-    /// table instead of a hash map. Behaviour is identical to
-    /// [`new`](Self::new) — slot order, victim choice, and dirty
-    /// tracking are all unchanged — only lookups get cheaper.
+    /// `[0, universe)`, replacing the hashed page lookup with a dense
+    /// direct-index table. Behaviour is identical to [`new`](Self::new) —
+    /// slot order, victim choice, and dirty tracking are all unchanged —
+    /// only lookups get cheaper.
     ///
     /// # Panics
-    /// Panics if `capacity` or `universe` is zero.
+    /// Panics if `capacity` or `universe` is zero, or if `universe`
+    /// exceeds the `u32` page range.
     pub fn with_universe(capacity: usize, kind: PolicyKind, seed: u64, universe: u64) -> Self {
+        let store = match kind {
+            PolicyKind::Lru => Store::Lru(SlotCache::with_dense_keys(capacity, true, universe)),
+            PolicyKind::Clock => {
+                Store::Clock(SlotCache::with_dense_keys(capacity, false, universe))
+            }
+            PolicyKind::Random => {
+                Store::RandomDense(RandomStore::new(capacity, DenseStates::new(universe)))
+            }
+        };
+        PageStore::seeded(store, seed)
+    }
+
+    fn seeded(store: Store, seed: u64) -> Self {
         PageStore {
-            kind,
-            cache: SlotCache::with_dense_keys(capacity, kind == PolicyKind::Lru, universe),
+            store,
             rng: SimRng::seed_from(seed),
         }
     }
 
     /// Number of resident pages.
     pub fn len(&self) -> usize {
-        self.cache.len()
+        match &self.store {
+            Store::Lru(c) | Store::Clock(c) => c.len(),
+            Store::RandomDense(s) => s.slots.len(),
+            Store::RandomOpen(s) => s.slots.len(),
+        }
     }
 
     /// True when no pages are resident.
     pub fn is_empty(&self) -> bool {
-        self.cache.is_empty()
+        self.len() == 0
     }
 
     /// Capacity in pages.
     pub fn capacity(&self) -> usize {
-        self.cache.capacity()
+        match &self.store {
+            Store::Lru(c) | Store::Clock(c) => c.capacity(),
+            Store::RandomDense(s) => s.capacity,
+            Store::RandomOpen(s) => s.capacity,
+        }
     }
 
     /// True if `page` is resident (no policy state update).
     pub fn contains(&self, page: u64) -> bool {
-        self.cache.contains(page)
+        match &self.store {
+            Store::Lru(c) | Store::Clock(c) => c.contains(page),
+            Store::RandomDense(s) => s.contains(page),
+            Store::RandomOpen(s) => s.contains(page),
+        }
     }
 
     /// Touches `page`, marking it dirty when `write` is set. Returns
     /// whether it hit, and on a full-store miss which victim was evicted.
     pub fn touch(&mut self, page: u64, write: bool) -> Touch {
-        if let Some(slot) = self.cache.lookup(page) {
-            self.cache.touch_existing(slot, write);
-            return Touch::Hit;
-        }
-        if !self.cache.is_full() {
-            self.cache.insert(page, write);
-            return Touch::Miss { evicted: None };
-        }
-        let victim = match self.kind {
-            PolicyKind::Lru => self.cache.lru_victim(),
-            PolicyKind::Random => self.rng.index(self.cache.len()) as u32,
-            PolicyKind::Clock => self.cache.clock_victim(),
-        };
-        let evicted = self.cache.replace(victim, page, write);
-        Touch::Miss {
-            evicted: Some(evicted),
+        let rng = &mut self.rng;
+        match &mut self.store {
+            Store::Lru(c) => slot_touch(c, page, write, |c| c.lru_victim()),
+            Store::Clock(c) => slot_touch(c, page, write, SlotCache::clock_victim),
+            Store::RandomDense(s) => s.touch(page, write, rng),
+            Store::RandomOpen(s) => s.touch(page, write, rng),
         }
     }
 
@@ -156,9 +192,9 @@ impl PageStore {
     /// uncharged cold fills record 0.
     ///
     /// Bit-identical to calling [`touch`](Self::touch) per access: the
-    /// policy dispatch is hoisted out of the loop (one monomorphic loop
-    /// per [`PolicyKind`]), but slot operations and RNG draws happen in
-    /// exactly the same order.
+    /// store dispatch is hoisted out of the loop (one monomorphic loop
+    /// per store), but each access runs the same touch, so store
+    /// operations and RNG draws happen in exactly the same order.
     ///
     /// # Panics
     /// Panics if the slice lengths disagree.
@@ -167,13 +203,16 @@ impl PageStore {
             pages.len() == writes.len() && pages.len() == codes.len(),
             "SoA chunk length mismatch"
         );
-        let (cache, rng) = (&mut self.cache, &mut self.rng);
-        match self.kind {
-            PolicyKind::Lru => touch_loop(cache, pages, writes, codes, |c| c.lru_victim()),
-            PolicyKind::Random => {
-                touch_loop(cache, pages, writes, codes, |c| rng.index(c.len()) as u32)
-            }
-            PolicyKind::Clock => touch_loop(cache, pages, writes, codes, |c| c.clock_victim()),
+        let rng = &mut self.rng;
+        match &mut self.store {
+            Store::Lru(c) => pass(c, pages, writes, codes, |c, p, w| {
+                slot_touch(c, p, w, |c| c.lru_victim())
+            }),
+            Store::Clock(c) => pass(c, pages, writes, codes, |c, p, w| {
+                slot_touch(c, p, w, SlotCache::clock_victim)
+            }),
+            Store::RandomDense(s) => pass(s, pages, writes, codes, |s, p, w| s.touch(p, w, rng)),
+            Store::RandomOpen(s) => pass(s, pages, writes, codes, |s, p, w| s.touch(p, w, rng)),
         }
     }
 }
@@ -184,29 +223,182 @@ pub const CODE_MISS: u8 = 1;
 pub const CODE_WRITEBACK: u8 = 2;
 
 /// The shared inner loop of [`PageStore::touch_pass`], monomorphized per
-/// victim selector so the per-access policy `match` disappears.
-#[inline]
-fn touch_loop(
-    cache: &mut SlotCache,
+/// store so the per-access dispatch disappears. The store is a parameter
+/// rather than a capture of `touch`, so the compiler sees it as the one
+/// unaliased `&mut` and keeps its columns' pointers in registers.
+#[inline(always)]
+fn pass<S>(
+    store: &mut S,
     pages: &[u32],
     writes: &[u8],
     codes: &mut [u8],
-    mut victim: impl FnMut(&mut SlotCache) -> u32,
+    mut touch: impl FnMut(&mut S, u64, bool) -> Touch,
 ) {
     for ((&page, &w), code) in pages.iter().zip(writes).zip(codes.iter_mut()) {
-        let page = u64::from(page);
-        let write = w != 0;
-        *code = if let Some(slot) = cache.lookup(page) {
-            cache.touch_existing(slot, write);
-            0
-        } else if !cache.is_full() {
-            cache.insert(page, write);
-            0
-        } else {
-            let v = victim(cache);
-            let (_, dirty) = cache.replace(v, page, write);
-            CODE_MISS | (u8::from(dirty) * CODE_WRITEBACK)
+        *code = match touch(store, u64::from(page), w != 0) {
+            Touch::Miss {
+                evicted: Some((_, dirty)),
+            } => CODE_MISS | (u8::from(dirty) * CODE_WRITEBACK),
+            Touch::Hit | Touch::Miss { evicted: None } => 0,
         };
+    }
+}
+
+/// One touch of a slot-cache store; `victim` picks the slot a
+/// full-store miss replaces.
+#[inline(always)]
+fn slot_touch(
+    cache: &mut SlotCache,
+    page: u64,
+    write: bool,
+    victim: impl FnOnce(&mut SlotCache) -> u32,
+) -> Touch {
+    if let Some(slot) = cache.lookup(page) {
+        cache.touch_existing(slot, write);
+        return Touch::Hit;
+    }
+    if !cache.is_full() {
+        cache.insert(page, write);
+        return Touch::Miss { evicted: None };
+    }
+    let slot = victim(cache);
+    Touch::Miss {
+        evicted: Some(cache.replace(slot, page, write)),
+    }
+}
+
+/// The state byte of every page a random-replacement store may hold:
+/// 0 when the page is not resident, else [`RESIDENT`] `|` [`DIRTY`]
+/// when it is dirty.
+trait PageStates: Debug {
+    /// How a page is stored in the slot column.
+    type Key: Copy + Debug;
+    fn key(page: u64) -> Self::Key;
+    fn page(key: Self::Key) -> u64;
+    fn get(&self, key: Self::Key) -> u8;
+    fn set(&mut self, key: Self::Key, state: u8);
+}
+
+/// State bit: the page is resident.
+const RESIDENT: u8 = 1;
+/// State bit: the resident page is dirty.
+const DIRTY: u8 = 2;
+
+/// One state byte per page of a `[0, universe)` page range.
+#[derive(Debug)]
+struct DenseStates(Vec<u8>);
+
+impl DenseStates {
+    fn new(universe: u64) -> Self {
+        assert!(universe > 0, "dense page store needs a page universe");
+        assert!(
+            universe <= 1 << 32,
+            "dense page universe must fit u32 page numbers"
+        );
+        DenseStates(vec![0; universe as usize])
+    }
+}
+
+impl PageStates for DenseStates {
+    type Key = u32;
+
+    #[inline]
+    fn key(page: u64) -> u32 {
+        u32::try_from(page).expect("page outside the dense page universe")
+    }
+
+    #[inline]
+    fn page(key: u32) -> u64 {
+        u64::from(key)
+    }
+
+    #[inline]
+    fn get(&self, key: u32) -> u8 {
+        self.0[key as usize]
+    }
+
+    #[inline]
+    fn set(&mut self, key: u32, state: u8) {
+        self.0[key as usize] = state;
+    }
+}
+
+/// The state bytes of the resident pages of an unbounded page range.
+#[derive(Debug)]
+struct OpenStates(OpenMap<u64, u8>);
+
+impl PageStates for OpenStates {
+    type Key = u64;
+
+    #[inline]
+    fn key(page: u64) -> u64 {
+        page
+    }
+
+    #[inline]
+    fn page(key: u64) -> u64 {
+        key
+    }
+
+    #[inline]
+    fn get(&self, key: u64) -> u8 {
+        self.0.get(&key).copied().unwrap_or(0)
+    }
+
+    #[inline]
+    fn set(&mut self, key: u64, state: u8) {
+        if state == 0 {
+            self.0.remove(&key);
+        } else {
+            self.0.insert(key, state);
+        }
+    }
+}
+
+/// Random replacement's store: the page states plus the page held in
+/// each slot. Slots fill in miss order; a full-store miss replaces the
+/// slot `rng.index(capacity)` draws.
+#[derive(Debug)]
+struct RandomStore<S: PageStates> {
+    capacity: usize,
+    states: S,
+    slots: Vec<S::Key>,
+}
+
+impl<S: PageStates> RandomStore<S> {
+    fn new(capacity: usize, states: S) -> Self {
+        assert!(capacity > 0, "page store needs capacity");
+        RandomStore {
+            capacity,
+            states,
+            slots: Vec::with_capacity(capacity),
+        }
+    }
+
+    fn contains(&self, page: u64) -> bool {
+        self.states.get(S::key(page)) != 0
+    }
+
+    #[inline(always)]
+    fn touch(&mut self, page: u64, write: bool, rng: &mut SimRng) -> Touch {
+        let key = S::key(page);
+        let dirty = u8::from(write) * DIRTY;
+        let state = self.states.get(key);
+        if state != 0 {
+            self.states.set(key, state | dirty);
+            return Touch::Hit;
+        }
+        self.states.set(key, RESIDENT | dirty);
+        if self.slots.len() < self.capacity {
+            self.slots.push(key);
+            return Touch::Miss { evicted: None };
+        }
+        let victim = mem::replace(&mut self.slots[rng.index(self.capacity)], key);
+        let victim_state = self.states.get(victim);
+        self.states.set(victim, 0);
+        Touch::Miss {
+            evicted: Some((S::page(victim), victim_state & DIRTY != 0)),
+        }
     }
 }
 
@@ -333,5 +525,147 @@ mod tests {
     #[should_panic(expected = "capacity")]
     fn rejects_zero_capacity() {
         PageStore::new(0, PolicyKind::Lru, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "capacity")]
+    fn random_rejects_zero_capacity() {
+        PageStore::with_universe(0, PolicyKind::Random, 0, 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "universe")]
+    fn random_rejects_zero_universe() {
+        PageStore::with_universe(4, PolicyKind::Random, 0, 0);
+    }
+
+    /// A deliberately naive random-replacement store: resident pages in
+    /// slot order in a `Vec`, dirty bits in a `BTreeMap`, victims drawn
+    /// with the same RNG calls as the real store.
+    struct RandomModel {
+        capacity: usize,
+        slots: Vec<u64>,
+        dirty: std::collections::BTreeMap<u64, bool>,
+        rng: SimRng,
+    }
+
+    impl RandomModel {
+        fn new(capacity: usize, seed: u64) -> Self {
+            RandomModel {
+                capacity,
+                slots: Vec::new(),
+                dirty: std::collections::BTreeMap::new(),
+                rng: SimRng::seed_from(seed),
+            }
+        }
+
+        fn touch(&mut self, page: u64, write: bool) -> Touch {
+            if self.slots.contains(&page) {
+                *self.dirty.get_mut(&page).unwrap() |= write;
+                return Touch::Hit;
+            }
+            if self.slots.len() < self.capacity {
+                self.slots.push(page);
+                self.dirty.insert(page, write);
+                return Touch::Miss { evicted: None };
+            }
+            let slot = self.rng.index(self.slots.len());
+            let victim = std::mem::replace(&mut self.slots[slot], page);
+            let dirty = self.dirty.remove(&victim).unwrap();
+            self.dirty.insert(page, write);
+            Touch::Miss {
+                evicted: Some((victim, dirty)),
+            }
+        }
+
+        fn code(&mut self, page: u64, write: bool) -> u8 {
+            match self.touch(page, write) {
+                Touch::Miss {
+                    evicted: Some((_, dirty)),
+                } => CODE_MISS | (u8::from(dirty) * CODE_WRITEBACK),
+                _ => 0,
+            }
+        }
+    }
+
+    /// Checks `len` and `contains` of every page in `[base, base + universe)`.
+    fn assert_same_residency(store: &PageStore, model: &RandomModel, base: u64, universe: u64) {
+        assert_eq!(store.len(), model.slots.len());
+        for page in base..base + universe {
+            assert_eq!(
+                store.contains(page),
+                model.slots.contains(&page),
+                "page {page}"
+            );
+        }
+    }
+
+    #[test]
+    fn random_store_matches_reference_model() {
+        // Capacity 1, small, equal to and above the universe, in both key
+        // modes; the open mode also uses pages beyond the u32 range.
+        let universe = 48u64;
+        let mut ops = SimRng::seed_from(0x5EED);
+        for capacity in [1usize, 2, 7, 47, 48, 49, 100] {
+            for dense in [true, false] {
+                let base = if dense { 0 } else { 1 << 40 };
+                let seed = 17 + capacity as u64;
+                let mut store = if dense {
+                    PageStore::with_universe(capacity, PolicyKind::Random, seed, universe)
+                } else {
+                    PageStore::new(capacity, PolicyKind::Random, seed)
+                };
+                let mut model = RandomModel::new(capacity, seed);
+                for step in 0..3_000 {
+                    let page = base + ops.index(universe as usize) as u64;
+                    let write = ops.chance(0.4);
+                    assert_eq!(
+                        store.touch(page, write),
+                        model.touch(page, write),
+                        "capacity {capacity} dense {dense} step {step}"
+                    );
+                    if step % 97 == 0 {
+                        assert_same_residency(&store, &model, base, universe);
+                    }
+                }
+                assert_same_residency(&store, &model, base, universe);
+            }
+        }
+    }
+
+    #[test]
+    fn random_touch_pass_matches_reference_model_over_ragged_chunks() {
+        let universe = 300u64;
+        let mut ops = SimRng::seed_from(0xC0FFEE);
+        let n = 6_000;
+        let pages: Vec<u32> = (0..n)
+            .map(|_| ops.index(universe as usize) as u32)
+            .collect();
+        let writes: Vec<u8> = (0..n).map(|_| u8::from(ops.chance(0.3))).collect();
+        for capacity in [1usize, 64, 300, 400] {
+            for dense in [true, false] {
+                let mut store = if dense {
+                    PageStore::with_universe(capacity, PolicyKind::Random, 3, universe)
+                } else {
+                    PageStore::new(capacity, PolicyKind::Random, 3)
+                };
+                let mut model = RandomModel::new(capacity, 3);
+                let mut at = 0;
+                for take in [0usize, 1, 2, 7, 64, 511, 1_000, 4_096].into_iter().cycle() {
+                    if at == n {
+                        break;
+                    }
+                    let end = (at + take).min(n);
+                    let mut got = vec![0xAA; end - at];
+                    store.touch_pass(&pages[at..end], &writes[at..end], &mut got);
+                    let want: Vec<u8> = (at..end)
+                        .map(|i| model.code(u64::from(pages[i]), writes[i] != 0))
+                        .collect();
+                    assert_eq!(got, want, "capacity {capacity} dense {dense} at {at}");
+                    assert_same_residency(&store, &model, 0, universe);
+                    at = end;
+                }
+            }
+        }
     }
 }

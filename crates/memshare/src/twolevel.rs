@@ -4,14 +4,19 @@
 //! struct-of-arrays scratch lanes (packed `u32` pages plus write bytes,
 //! from the live generator or decoded straight out of a materialized
 //! [`MemTraceBuf`]) and consumed by one shared epoch-batch kernel: a
-//! monomorphic-per-policy touch pass that records an outcome-code
+//! monomorphic-per-store touch pass that records an outcome-code
 //! bitmask byte per access ([`crate::policy::PageStore::touch_pass`]),
 //! then a branch-free [`wcs_simcore::simd`] fold that pops the code
 //! bits into counters. The generator path and the shared-buffer path
 //! execute byte-identical simulation code and differ only in where the
 //! chunk comes from.
+//!
+//! A replay is serial: the store's state threads through every access.
+//! The parallel work is generating the trace
+//! ([`MemTraceBuf::generate_par`]); the replay decodes each chunk
+//! straight out of the shared buffer into the lanes, which stay in L1.
 
-use wcs_simcore::{simd, ThreadPool};
+use wcs_simcore::simd;
 use wcs_workloads::memtrace::{MemTraceBuf, MemTraceGen};
 
 use crate::policy::{PageStore, PolicyKind};
@@ -21,11 +26,6 @@ use crate::policy::{PageStore, PolicyKind};
 /// bytes, 4 KiB of codes) stay in L1/L2 alongside the store's hot
 /// columns.
 const CHUNK: usize = 4096;
-
-/// Accesses per parallel staging range of [`TwoLevelSim::par_replay`]:
-/// 64 epoch chunks, so one pool task decodes enough lanes (1 MiB of
-/// pages + 256 KiB of writes) to amortize its scheduling cost.
-const PAR_RANGE: usize = 64 * CHUNK;
 
 /// Fixed-size SoA staging lanes for one replay epoch.
 #[derive(Debug)]
@@ -101,7 +101,6 @@ impl MissStats {
 #[derive(Debug)]
 pub struct TwoLevelSim {
     local: PageStore,
-    warm: bool,
 }
 
 impl TwoLevelSim {
@@ -112,7 +111,6 @@ impl TwoLevelSim {
     pub fn new(local_pages: usize, policy: PolicyKind, seed: u64) -> Self {
         TwoLevelSim {
             local: PageStore::new(local_pages, policy, seed),
-            warm: false,
         }
     }
 
@@ -132,7 +130,6 @@ impl TwoLevelSim {
     ) -> Self {
         TwoLevelSim {
             local: PageStore::with_universe(local_pages, policy, seed, universe),
-            warm: false,
         }
     }
 
@@ -155,10 +152,8 @@ impl TwoLevelSim {
         self.local.touch_pass(pages, writes, codes);
         stats.accesses += pages.len() as u64;
         let counts = simd::fold_mask_counts(codes);
-        let (misses, writebacks) = (counts[0], counts[1]);
-        self.warm |= misses > 0;
-        stats.misses += misses;
-        stats.writebacks += writebacks;
+        stats.misses += counts[0];
+        stats.writebacks += counts[1];
     }
 
     /// Replays `n` touches from the generator, returning steady-state
@@ -217,51 +212,6 @@ impl TwoLevelSim {
                 &mut stats,
             );
             at += take;
-        }
-        stats
-    }
-
-    /// [`run_buf`](Self::run_buf) with lane staging fanned out over
-    /// `pool`.
-    ///
-    /// The range splits into deterministic `PAR_RANGE`-sized chunk
-    /// ranges whose SoA lanes (packed pages + write bytes) decode in
-    /// parallel — pure per-range work with no simulator state. The
-    /// cache then consumes the staged lanes strictly in chunk order:
-    /// the simulator's own state at each chunk boundary is the
-    /// checkpoint the next chunk resumes from, and the per-chunk
-    /// integer counters merge exactly ([`MissStats::merged`]). The
-    /// result is bit-identical to [`run_buf`](Self::run_buf) at every
-    /// pool size.
-    ///
-    /// # Panics
-    /// Panics if the range runs past the end of the buffer.
-    pub fn par_replay(
-        &mut self,
-        buf: &MemTraceBuf,
-        start: usize,
-        n: u64,
-        pool: &ThreadPool,
-    ) -> MissStats {
-        let end = start + n as usize;
-        let ranges: Vec<(usize, usize)> = (start..end)
-            .step_by(PAR_RANGE)
-            .map(|at| (at, (end - at).min(PAR_RANGE)))
-            .collect();
-        let staged = pool.par_map(&ranges, |_, &(at, len)| {
-            let mut pages = vec![0u32; len];
-            let mut writes = vec![0u8; len];
-            buf.fill_chunk_soa(at, &mut pages, &mut writes);
-            (pages, writes)
-        });
-        let mut codes = vec![0u8; CHUNK];
-        let mut stats = MissStats::default();
-        for (pages, writes) in &staged {
-            let mut range_stats = MissStats::default();
-            for (p, w) in pages.chunks(CHUNK).zip(writes.chunks(CHUNK)) {
-                self.replay_epoch_batch(p, w, &mut codes[..p.len()], &mut range_stats);
-            }
-            stats = stats.merged(&range_stats);
         }
         stats
     }
@@ -446,24 +396,6 @@ mod tests {
                 dense.run_buf(&buf, 0, 150_000),
                 "{policy:?}"
             );
-        }
-    }
-
-    #[test]
-    fn par_replay_is_bit_identical_to_run_buf_at_every_pool_size() {
-        let p = small_params();
-        // Deliberately not a multiple of PAR_RANGE or CHUNK, with an
-        // offset start, so both tails are exercised.
-        let buf = MemTraceBuf::generate(p, 43, 700_001);
-        for policy in [PolicyKind::Lru, PolicyKind::Random, PolicyKind::Clock] {
-            let mut whole = TwoLevelSim::new(1_500, policy, 11);
-            let want = whole.run_buf(&buf, 3, 700_001 - 3);
-            for threads in [1usize, 2, 8] {
-                let pool = ThreadPool::new(threads).unwrap();
-                let mut sim = TwoLevelSim::new(1_500, policy, 11);
-                let got = sim.par_replay(&buf, 3, 700_001 - 3, &pool);
-                assert_eq!(got, want, "{policy:?} threads={threads}");
-            }
         }
     }
 

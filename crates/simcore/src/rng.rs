@@ -94,8 +94,22 @@ impl SimRng {
     ///
     /// # Panics
     /// Panics if `n == 0`.
+    #[inline]
     pub fn index(&mut self, n: usize) -> usize {
         assert!(n > 0, "index range must be non-empty");
+        if n.is_power_of_two() {
+            // The same rejection draw as `gen_range(0..n)`, without its
+            // two divisions: for a power-of-two span the accept zone
+            // `u64::MAX - u64::MAX % n` is `2^64 - n` and `v % n` is a
+            // mask.
+            let span = n as u64;
+            loop {
+                let v = self.inner.next_u64();
+                if v <= u64::MAX - span {
+                    return (v & (span - 1)) as usize;
+                }
+            }
+        }
         self.inner.gen_range(0..n)
     }
 
@@ -158,6 +172,27 @@ mod tests {
         let mut other = parent3.fork(6);
         let mut c3 = SimRng::seed_from(9).fork(5);
         assert_ne!(other.next_u64(), c3.next_u64());
+    }
+
+    #[test]
+    fn index_draws_match_the_general_rejection_draw() {
+        // The power-of-two shortcut must consume and map raw draws
+        // exactly like `gen_range`'s modulo-with-rejection path.
+        for n in [1usize, 2, 3, 64, 100, 131_072, 104_857, 1 << 40] {
+            let mut fast = SimRng::seed_from(n as u64);
+            let mut raw = SimRng::seed_from(n as u64);
+            let span = n as u64;
+            let zone = u64::MAX - (u64::MAX % span);
+            for _ in 0..2_000 {
+                let want = loop {
+                    let v = raw.next_u64();
+                    if v < zone {
+                        break (v % span) as usize;
+                    }
+                };
+                assert_eq!(fast.index(n), want, "n={n}");
+            }
+        }
     }
 
     #[test]

@@ -4,13 +4,13 @@
 //! run in two passes over a staged epoch chunk: a scalar *touch* pass
 //! that mutates cache state and writes one outcome-code byte per
 //! element, then a *fold* pass that reduces the code lane into counters.
-//! This module holds the fold-pass primitives, shaped so rustc's
-//! autovectorizer turns them into SIMD: fixed-width `chunks_exact`
-//! bodies with no data-dependent branches, integer accumulation in
-//! per-chunk partials, and f64 accumulation in a **fixed-shape pairwise
-//! tree** whose rounding order depends only on the slice length — never
-//! on chunking, thread count, or target features — so results stay
-//! bit-identical everywhere.
+//! This module holds the fold-pass primitives, shaped to run without
+//! data-dependent branches: fixed-width `chunks_exact` bodies, integer
+//! accumulation in per-chunk partials (eight codes per `u64` word in
+//! [`fold_mask_counts`]), and f64 accumulation in a **fixed-shape
+//! pairwise tree** whose rounding order depends only on the slice
+//! length — never on chunking, thread count, or target features — so
+//! results stay bit-identical everywhere.
 //!
 //! Outcome codes are bitmasks, not enums: bit `b` of each code byte is
 //! an independent stage outcome (miss, writeback, flash hit, absorbed
@@ -29,31 +29,52 @@ pub const F64_BLOCK: usize = 4096;
 /// Population counts of every code bit over the lane: `counts[b]` is the
 /// number of elements whose code has bit `b` set.
 ///
-/// Branch-free and width-fixed: the main loop handles [`FOLD_LANES`]
-/// codes per iteration with u32 partials (safe: a partial counts at most
-/// `FOLD_LANES` per iteration and is drained every iteration), the
-/// remainder is folded scalarly.
+/// Branch-free SWAR: eight codes are read as one little-endian `u64`,
+/// and `(word >> b) & 0x0101..01` adds bit `b` of all eight into the
+/// byte lanes of partial `b`. A byte lane can count to 255, so the
+/// partials are drained every 255 words; the remainder is
+/// folded scalarly.
 #[must_use]
 pub fn fold_mask_counts(codes: &[u8]) -> [u64; 8] {
     let mut counts = [0u64; 8];
-    let mut chunks = codes.chunks_exact(FOLD_LANES);
-    for chunk in chunks.by_ref() {
-        let mut partial = [0u32; 8];
-        for &c in chunk {
+    let mut words = codes.chunks_exact(8);
+    let mut left = codes.len() / 8;
+    while left > 0 {
+        let take = left.min(SWAR_WORDS);
+        let mut partial = [0u64; 8];
+        for word in words.by_ref().take(take) {
+            let w = u64::from_le_bytes(word.try_into().expect("an 8-byte chunk"));
             for (b, p) in partial.iter_mut().enumerate() {
-                *p += u32::from(c >> b) & 1;
+                *p += (w >> b) & BYTE_ONES;
             }
         }
-        for (b, p) in partial.iter().enumerate() {
-            counts[b] += u64::from(*p);
+        for (count, p) in counts.iter_mut().zip(partial) {
+            *count += sum_byte_lanes(p);
         }
+        left -= take;
     }
-    for &c in chunks.remainder() {
+    for &c in words.remainder() {
         for (b, slot) in counts.iter_mut().enumerate() {
             *slot += u64::from(c >> b) & 1;
         }
     }
     counts
+}
+
+/// Words per partial drain of [`fold_mask_counts`]: the most a byte
+/// lane can count without overflowing.
+const SWAR_WORDS: usize = 255;
+
+/// A one in every byte lane of a `u64`.
+const BYTE_ONES: u64 = 0x0101_0101_0101_0101;
+
+/// Sum of the eight byte lanes of `x`: adjacent lanes pair up into four
+/// `u16` lanes (each at most 510), and one multiply gathers those into
+/// the top 16 bits (at most 2040).
+fn sum_byte_lanes(x: u64) -> u64 {
+    const LOW_BYTES: u64 = 0x00FF_00FF_00FF_00FF;
+    let pairs = (x & LOW_BYTES) + ((x >> 8) & LOW_BYTES);
+    pairs.wrapping_mul(0x0001_0001_0001_0001) >> 48
 }
 
 /// Number of elements whose code byte is exactly `value`.
@@ -137,6 +158,15 @@ mod tests {
                 let want = codes.iter().filter(|&&c| (c >> b) & 1 == 1).count() as u64;
                 assert_eq!(count, want, "n={n} bit={b}");
             }
+        }
+    }
+
+    #[test]
+    fn mask_counts_survive_saturated_byte_lanes() {
+        // Every bit set in every code: each partial byte lane counts one
+        // per word, the worst case for the drain interval.
+        for n in [7, 8, 2039, 2040, 2041, 2048, 20_000] {
+            assert_eq!(fold_mask_counts(&vec![0xFF; n]), [n as u64; 8], "n={n}");
         }
     }
 

@@ -8,11 +8,15 @@
 //! out struct-of-arrays so the replay inner loops touch only the columns
 //! they need: hits read/write `dirty`/`refbit`, clock sweeps scan
 //! `refbit` alone, and the recency links live in their own `u32` arrays.
+//! Its users are the flash cache index (clock) and the page store's LRU
+//! and clock policies. The page store's random replacement does not use
+//! it: a random victim needs no `key -> slot` index and no reference
+//! bits, so that policy keeps a per-page state table of its own.
 //!
 //! Policy stays with the caller: the kernel exposes victim *mechanisms*
 //! ([`clock_victim`](SlotCache::clock_victim),
-//! [`lru_victim`](SlotCache::lru_victim), or any caller-chosen slot for
-//! random replacement) and the caller decides which to invoke.
+//! [`lru_victim`](SlotCache::lru_victim)) and the caller decides which to
+//! invoke, then hands the chosen slot to [`replace`](SlotCache::replace).
 //!
 //! # Example
 //! ```

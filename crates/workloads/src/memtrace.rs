@@ -325,8 +325,14 @@ impl MemTraceBuf {
     pub fn get(&self, i: usize) -> PageAccess {
         PageAccess {
             page: u64::from(self.pages[i]),
-            write: (self.writes[i >> 6] >> (i & 63)) & 1 == 1,
+            write: self.write_flag(i) == 1,
         }
+    }
+
+    /// The write flag of access `i`, as 0 or 1.
+    #[inline]
+    fn write_flag(&self, i: usize) -> u8 {
+        ((self.writes[i >> 6] >> (i & 63)) & 1) as u8
     }
 
     /// Decodes accesses `[start, start + out.len())` into `out`, the
@@ -352,11 +358,34 @@ impl MemTraceBuf {
     pub fn fill_chunk_soa(&self, start: usize, pages: &mut [u32], writes: &mut [u8]) {
         assert_eq!(pages.len(), writes.len(), "SoA scratch length mismatch");
         pages.copy_from_slice(&self.pages[start..start + pages.len()]);
-        for (j, w) in writes.iter_mut().enumerate() {
-            let i = start + j;
-            *w = ((self.writes[i >> 6] >> (i & 63)) & 1) as u8;
+        // Flags one at a time up to a byte boundary of the bit column,
+        // then eight at a time from one byte of it, then the tail.
+        let head = ((8 - start % 8) % 8).min(writes.len());
+        let (head_out, body) = writes.split_at_mut(head);
+        for (j, w) in head_out.iter_mut().enumerate() {
+            *w = self.write_flag(start + j);
+        }
+        let mut i = start + head;
+        let mut octets = body.chunks_exact_mut(8);
+        for out in octets.by_ref() {
+            let byte = (self.writes[i >> 6] >> (i & 63)) & 0xFF;
+            out.copy_from_slice(&spread_bits(byte).to_le_bytes());
+            i += 8;
+        }
+        for (j, w) in octets.into_remainder().iter_mut().enumerate() {
+            *w = self.write_flag(i + j);
         }
     }
+}
+
+/// Spreads the eight bits of `byte` over the eight byte lanes of a
+/// `u64`, bit `j` to lane `j` as 0 or 1: the multiply copies the byte
+/// into every lane, the mask keeps bit `j` in lane `j`, and adding 0x7F
+/// carries any kept bit to the lane's top bit (no lane overflows).
+fn spread_bits(byte: u64) -> u64 {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    let kept = byte.wrapping_mul(ONES) & 0x8040_2010_0804_0201;
+    ((kept + 0x7F7F_7F7F_7F7F_7F7F) >> 7) & ONES
 }
 
 #[cfg(test)]
@@ -488,6 +517,24 @@ mod tests {
             let a = buf.get(700 + j);
             assert_eq!(u64::from(pages[j]), a.page, "access {j}");
             assert_eq!(writes[j] != 0, a.write, "access {j}");
+        }
+    }
+
+    #[test]
+    fn soa_chunk_decode_matches_get_at_every_alignment() {
+        let params = params_for(WorkloadId::MapredWr);
+        let buf = MemTraceBuf::generate(params, 11, 1_000);
+        for start in [0usize, 1, 5, 7, 8, 9, 63, 64, 65, 700] {
+            for len in [0usize, 1, 7, 8, 9, 16, 63, 64, 65, 300] {
+                let mut pages = vec![0u32; len];
+                let mut writes = vec![9u8; len];
+                buf.fill_chunk_soa(start, &mut pages, &mut writes);
+                for (j, (&page, &write)) in pages.iter().zip(&writes).enumerate() {
+                    let a = buf.get(start + j);
+                    assert_eq!(u64::from(page), a.page, "start {start} len {len} at {j}");
+                    assert_eq!(write, u8::from(a.write), "start {start} len {len} at {j}");
+                }
+            }
         }
     }
 
